@@ -2,13 +2,13 @@
 //! function per paper table/figure plus the ablations (DESIGN.md §4).
 
 use crate::harness::{sci, time_adaptive, time_once, Throughput};
-use crate::model::DeviceModel;
 use c2nn_boolfn::{lut_to_poly, lut_to_poly_dnf, Lut};
 use c2nn_circuits::table1_suite;
 use c2nn_core::{
     compile, compile_as, compile_with_report, CompileOptions, CompiledNn, IrMetrics, PassId,
     PassSet, Simulator,
 };
+use c2nn_hal::DeviceModel;
 use c2nn_json::json_obj;
 use c2nn_refsim::CycleSim;
 use c2nn_tensor::{Dense, Device};

@@ -5,10 +5,8 @@
 //!
 //! * [`experiments`] — one function per artifact: Table I, Figure 4,
 //!   Figure 6, and the ablations (merging, sparse-vs-dense, batch sweep,
-//!   f32-vs-i32);
-//! * [`model`] — the analytic GPU device model standing in for the paper's
-//!   GTX TITAN X (this machine has one CPU core; DESIGN.md §2 documents the
-//!   substitution);
+//!   f32-vs-i32), priced on the GPU we do not have by
+//!   [`c2nn_hal::DeviceModel`] (DESIGN.md §2 documents the substitution);
 //! * [`harness`] — adaptive timing and the gates·cycles/s metric;
 //! * [`serve_scale`] — the serving scaling curve (closed-loop client sweep,
 //!   past-saturation probe, `/metrics` scrape) behind the `serve_scale`
@@ -21,6 +19,5 @@
 
 pub mod experiments;
 pub mod harness;
-pub mod model;
 pub mod serve_scale;
 pub mod wire;

@@ -14,9 +14,9 @@
 //! 64 testbenches one gate.
 //!
 //! Pipeline: [`BitplaneNn::from_compiled`] (legalize) → [`BitplaneNn::forward_with`]
-//! (execute, sharded on the shared worker pool) → [`BitplaneSimulator`] /
-//! [`BitplaneRunner`] (cycle drivers matching the CSR backend's
-//! `Simulator` / `SessionRunner`). Compile for it with
+//! (execute, sharded on the shared worker pool) → [`BitplaneSimulator`]
+//! (the cycle driver, state resident in planes, matching the CSR
+//! backend's `Simulator`). Compile for it with
 //! [`compile_bitplane`](crate::compile_bitplane) (drops the layer-merge
 //! pass so the unmerged pipeline legalizes popcount-free), or pick it at
 //! the CLI with `--backend bitplane` / `--backend auto` — the `c2nn-hal`
@@ -38,4 +38,4 @@ mod sim;
 pub use exec::BitplaneScratch;
 pub use pack::BitTensor;
 pub use plan::{BitLayer, BitplaneError, BitplaneNn, OpCensus, RowClassCensus, RowOp};
-pub use sim::{BitplaneRunner, BitplaneSimulator};
+pub use sim::BitplaneSimulator;

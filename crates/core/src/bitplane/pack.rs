@@ -12,6 +12,8 @@
 //! never leak into a valid lane; the unpack paths here simply never read
 //! past `batch`.
 
+use c2nn_tensor::Scalar;
+
 /// A feature-major binary matrix with 64 stimulus lanes per word.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BitTensor {
@@ -160,5 +162,99 @@ impl BitTensor {
         (0..self.batch)
             .map(|l| (0..self.features).map(|f| self.get_bit(f, l)).collect())
             .collect()
+    }
+
+    /// Expand every plane to one exact 0/1 scalar per lane, feature-major
+    /// (`dst[f * batch + l]`, the `Dense` layout). Never reads the ragged
+    /// tail.
+    pub fn unpack_scalars<T: Scalar>(&self, dst: &mut [T]) {
+        assert_eq!(dst.len(), self.features * self.batch, "scalar block size");
+        for (f, row) in dst.chunks_mut(self.batch.max(1)).enumerate() {
+            let plane = self.feature_words(f);
+            for (l, v) in row.iter_mut().enumerate() {
+                *v = if plane[l / 64] >> (l % 64) & 1 == 1 {
+                    T::ONE
+                } else {
+                    T::ZERO
+                };
+            }
+        }
+    }
+
+    /// Inverse of [`BitTensor::unpack_scalars`]: overwrite every plane from
+    /// a feature-major block of exact 0/1 scalars of this tensor's shape.
+    /// Ragged tails come out zero.
+    pub fn pack_scalars<T: Scalar>(&mut self, src: &[T]) {
+        assert_eq!(src.len(), self.features * self.batch, "scalar block size");
+        let rows = src.chunks(self.batch.max(1));
+        for (plane, row) in self.data.chunks_mut(self.words.max(1)).zip(rows) {
+            for (word, lanes) in plane.iter_mut().zip(row.chunks(64)) {
+                *word = lanes
+                    .iter()
+                    .enumerate()
+                    .fold(0, |w, (i, &v)| w | ((v == T::ONE) as u64) << i);
+            }
+        }
+    }
+
+    /// Transpose lane-major packed rows into planes: `words(&rows[l])` is
+    /// lane `l`'s `features` bits, 64 per word (bit `f % 64` of word
+    /// `f / 64`). The tensor becomes `features × rows.len()` with zero
+    /// tails. Works in 64×64 bit blocks, so the cost is one word op per 64
+    /// bits moved rather than one per bit.
+    pub fn gather_rows<R>(&mut self, features: usize, rows: &[R], words: impl Fn(&R) -> &[u64]) {
+        self.resize_to(features, rows.len());
+        let mut block = [0u64; 64];
+        for (lb, lanes) in rows.chunks(64).enumerate() {
+            for fb in 0..features.div_ceil(64) {
+                block.fill(0);
+                for (slot, row) in block.iter_mut().zip(lanes) {
+                    *slot = words(row)[fb];
+                }
+                transpose64(&mut block);
+                for (j, &plane_word) in block.iter().enumerate().take(features - fb * 64) {
+                    self.data[(fb * 64 + j) * self.words + lb] = plane_word;
+                }
+            }
+        }
+    }
+
+    /// Inverse of [`BitTensor::gather_rows`]: write lane `l`'s bits back
+    /// into `words(&mut rows[l])` (bits past `features` in a row's last
+    /// word come out zero). Never lets the ragged tail reach a row.
+    pub fn scatter_rows<R>(&self, rows: &mut [R], words: impl Fn(&mut R) -> &mut [u64]) {
+        assert_eq!(rows.len(), self.batch, "one row per lane");
+        let mut block = [0u64; 64];
+        for (lb, lanes) in rows.chunks_mut(64).enumerate() {
+            for fb in 0..self.features.div_ceil(64) {
+                block.fill(0);
+                for (j, slot) in block.iter_mut().enumerate().take(self.features - fb * 64) {
+                    *slot = self.data[(fb * 64 + j) * self.words + lb];
+                }
+                transpose64(&mut block);
+                for (&lane_word, row) in block.iter().zip(lanes.iter_mut()) {
+                    words(row)[fb] = lane_word;
+                }
+            }
+        }
+    }
+}
+
+/// In-place transpose of a 64×64 bit matrix (`a[i]` bit `j` ↔ `a[j]` bit
+/// `i`): six rounds of swapping off-diagonal sub-blocks, halving the block
+/// size each round.
+fn transpose64(a: &mut [u64; 64]) {
+    let mut j = 32;
+    let mut mask = 0x0000_0000_ffff_ffffu64;
+    while j != 0 {
+        let mut k = 0;
+        while k < 64 {
+            let t = (a[k] >> j ^ a[k + j]) & mask;
+            a[k] ^= t << j;
+            a[k + j] ^= t;
+            k = (k + j + 1) & !j;
+        }
+        j >>= 1;
+        mask ^= mask << j;
     }
 }

@@ -30,6 +30,7 @@
 
 use crate::compile::CompiledNn;
 use crate::layer::Activation2;
+use crate::sim::StepShape;
 use c2nn_tensor::Scalar;
 use std::fmt;
 
@@ -337,6 +338,17 @@ impl BitplaneNn {
     /// Layer count.
     pub fn num_layers(&self) -> usize {
         self.layers.len()
+    }
+
+    /// Port widths and depth, as the stepping engine sees them (identical
+    /// to the source network's ports).
+    pub fn shape(&self) -> StepShape {
+        StepShape {
+            inputs: self.num_primary_inputs,
+            outputs: self.num_primary_outputs,
+            state: self.state_bits(),
+            layers: self.layers.len(),
+        }
     }
 
     /// Summed modeled word-op cost per output word, split into

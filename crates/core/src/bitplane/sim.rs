@@ -1,20 +1,19 @@
-//! Cycle-accurate drivers for the bit-plane backend, mirroring the CSR
-//! path's [`Simulator`](crate::Simulator) (fixed batch) and
-//! [`SessionRunner`](crate::SessionRunner) (resumable lanes) so either
-//! backend can serve the same callers.
+//! The cycle-accurate driver for the bit-plane backend, mirroring the CSR
+//! path's [`Simulator`](crate::Simulator): a fixed set of lanes whose
+//! recurrent state stays packed and resident between cycles.
 
 use super::exec::BitplaneScratch;
 use super::pack::BitTensor;
 use super::plan::BitplaneNn;
-use crate::session::Session;
-use crate::sim::SimError;
-use c2nn_tensor::{Device, Scalar};
+use crate::sim::{SimError, StepShape};
+use c2nn_tensor::Device;
 
-/// A fixed-batch sequential simulator over a bit-plane program: `batch`
-/// testbenches advance one clock per [`step`](BitplaneSimulator::step),
+/// A sequential simulator over a bit-plane program: `batch` testbenches
+/// advance one clock per [`step_packed_into`](BitplaneSimulator::step_packed_into),
 /// 64 of them per machine word.
 pub struct BitplaneSimulator<'a> {
     nn: &'a BitplaneNn,
+    /// `state_bits × batch` planes; tail bits are unspecified.
     state: BitTensor,
     batch: usize,
     cycles: u64,
@@ -26,21 +25,17 @@ pub struct BitplaneSimulator<'a> {
 impl<'a> BitplaneSimulator<'a> {
     /// A simulator over `nn` with `batch` lanes, all at the power-on state.
     pub fn new(nn: &'a BitplaneNn, batch: usize, device: Device) -> Self {
-        let mut state = BitTensor::zeros(nn.state_bits(), batch);
-        for (f, &init) in nn.state_init.iter().enumerate() {
-            if init {
-                state.feature_words_mut(f).fill(!0);
-            }
-        }
-        BitplaneSimulator {
+        let mut sim = BitplaneSimulator {
             nn,
-            state,
+            state: BitTensor::zeros(0, 0),
             batch,
             cycles: 0,
             device,
             xbuf: BitTensor::zeros(0, 0),
             scratch: BitplaneScratch::default(),
-        }
+        };
+        sim.reset(batch);
+        sim
     }
 
     /// The program this simulator runs.
@@ -63,291 +58,73 @@ impl<'a> BitplaneSimulator<'a> {
         self.state.to_lanes()
     }
 
-    /// Advance one clock: `inputs[l]` is lane `l`'s primary-input bits.
-    /// Returns the primary outputs per lane.
-    pub fn step(&mut self, inputs: &[Vec<bool>]) -> Result<Vec<Vec<bool>>, SimError> {
-        let pi = self.nn.num_primary_inputs;
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.len() != self.batch {
-            return Err(SimError::BatchMismatch {
-                expected: self.batch,
-                got: inputs.len(),
-            });
-        }
-        for lane in inputs {
-            if lane.len() != pi {
-                return Err(SimError::InputWidth {
-                    expected: pi,
-                    got: lane.len(),
-                });
-            }
-        }
-        let x = BitTensor::from_lanes(inputs);
-        let mut packed = BitTensor::zeros(0, 0);
-        std::mem::swap(&mut packed, &mut self.xbuf);
-        self.pack_inputs(&x, &mut packed);
-        let outputs;
-        {
-            let y = self
-                .nn
-                .forward_with(&packed, self.device, &mut self.scratch);
-            let po = self.nn.num_primary_outputs;
-            outputs = (0..self.batch)
-                .map(|l| (0..po).map(|f| y.get_bit(f, l)).collect())
-                .collect();
-            Self::scatter_state(self.nn, y, &mut self.state);
-        }
-        self.xbuf = packed;
-        self.cycles += 1;
-        Ok(outputs)
+    /// Port widths and depth of the program being stepped.
+    pub fn shape(&self) -> StepShape {
+        self.nn.shape()
     }
 
-    /// The zero-copy hot path: `inputs` is already packed
-    /// (`num_primary_inputs × batch`); outputs land in `out`
-    /// (`num_primary_outputs × batch`, resized in place). Same semantics
-    /// as [`step`](BitplaneSimulator::step), without the bit-vector
-    /// conversion at either end.
+    /// Put `lanes` testbenches at the power-on state (the lane count may
+    /// differ from the previous run's; buffers are reused).
+    pub fn reset(&mut self, lanes: usize) {
+        self.batch = lanes;
+        self.state.resize_to(self.nn.state_bits(), lanes);
+        for (f, &init) in self.nn.state_init.iter().enumerate() {
+            self.state
+                .feature_words_mut(f)
+                .fill(if init { !0 } else { 0 });
+        }
+        self.cycles = 0;
+    }
+
+    /// Copy the resident state out (`state_bits × lanes`, ragged tails
+    /// zero).
+    pub fn read_state(&self, planes: &mut BitTensor) {
+        planes.resize_to(self.state.features(), self.batch);
+        planes.data_mut().copy_from_slice(self.state.data());
+        planes.mask_tails();
+    }
+
+    /// Replace the resident state with `planes` (`state_bits × lanes`);
+    /// the lane count follows the planes. The cycle counter is untouched.
+    pub fn write_state(&mut self, planes: &BitTensor) {
+        assert_eq!(planes.features(), self.nn.state_bits(), "state width");
+        self.batch = planes.batch();
+        self.state.resize_to(planes.features(), planes.batch());
+        self.state.data_mut().copy_from_slice(planes.data());
+    }
+
+    /// Advance one clock. `inputs` is packed (`num_primary_inputs ×
+    /// batch`); outputs land in `out` (`num_primary_outputs × batch`,
+    /// resized in place, ragged tails zero). Nothing is converted at either
+    /// end and the state never leaves its planes.
     pub fn step_packed_into(
         &mut self,
         inputs: &BitTensor,
         out: &mut BitTensor,
     ) -> Result<(), SimError> {
+        self.shape()
+            .check_inputs(self.batch, inputs.batch(), [inputs.features()])?;
         let pi = self.nn.num_primary_inputs;
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.batch() != self.batch {
-            return Err(SimError::BatchMismatch {
-                expected: self.batch,
-                got: inputs.batch(),
-            });
-        }
-        if inputs.features() != pi {
-            return Err(SimError::InputWidth {
-                expected: pi,
-                got: inputs.features(),
-            });
-        }
-        let mut packed = BitTensor::zeros(0, 0);
-        std::mem::swap(&mut packed, &mut self.xbuf);
-        self.pack_inputs(inputs, &mut packed);
-        {
-            let y = self
-                .nn
-                .forward_with(&packed, self.device, &mut self.scratch);
-            let po = self.nn.num_primary_outputs;
-            let w = y.words_per_feature();
-            out.resize_to(po, self.batch);
-            out.data_mut().copy_from_slice(&y.data()[..po * w]);
-            Self::scatter_state(self.nn, y, &mut self.state);
-        }
-        self.xbuf = packed;
+        let po = self.nn.num_primary_outputs;
+        // x = [inputs ; state], whole planes at a time
+        self.xbuf.resize_to(pi + self.nn.state_bits(), self.batch);
+        let w = self.xbuf.words_per_feature();
+        let (x_in, x_state) = self.xbuf.data_mut().split_at_mut(pi * w);
+        x_in.copy_from_slice(inputs.data());
+        x_state.copy_from_slice(self.state.data());
+        let y = self
+            .nn
+            .forward_with(&self.xbuf, self.device, &mut self.scratch);
+        debug_assert_eq!(y.features(), po + self.nn.state_bits());
+        // y = [outputs ; next state]
+        let (y_out, y_state) = y.data().split_at(po * w);
+        out.resize_to(po, self.batch);
+        out.data_mut().copy_from_slice(y_out);
+        // inverting ops and power-on planes set bits past `batch`; they
+        // must not leave the engine
+        out.mask_tails();
+        self.state.data_mut().copy_from_slice(y_state);
         self.cycles += 1;
         Ok(())
-    }
-
-    /// Assemble `[inputs ; state]` into `packed`.
-    fn pack_inputs(&self, inputs: &BitTensor, packed: &mut BitTensor) {
-        let pi = self.nn.num_primary_inputs;
-        let s = self.nn.state_bits();
-        packed.resize_to(pi + s, self.batch);
-        let w = packed.words_per_feature();
-        debug_assert_eq!(inputs.words_per_feature(), w);
-        packed.data_mut()[..pi * w].copy_from_slice(inputs.data());
-        packed.data_mut()[pi * w..].copy_from_slice(self.state.data());
-    }
-
-    /// Copy the next-state planes (after the outputs) back into `state`.
-    fn scatter_state(nn: &BitplaneNn, y: &BitTensor, state: &mut BitTensor) {
-        let po = nn.num_primary_outputs;
-        let s = nn.state_bits();
-        let w = y.words_per_feature();
-        debug_assert_eq!(y.features(), po + s);
-        state
-            .data_mut()
-            .copy_from_slice(&y.data()[po * w..(po + s) * w]);
-    }
-}
-
-/// Steps arbitrary collections of [`Session`]s through a bit-plane
-/// program — the packed-backend twin of
-/// [`SessionRunner`](crate::SessionRunner), with identical shape checks
-/// and per-lane semantics, so the serve scheduler can swap backends
-/// without touching session bookkeeping.
-pub struct BitplaneRunner<'a, T> {
-    nn: &'a BitplaneNn,
-    device: Device,
-    xbuf: BitTensor,
-    scratch: BitplaneScratch,
-    _scalar: std::marker::PhantomData<T>,
-}
-
-impl<'a, T: Scalar> BitplaneRunner<'a, T> {
-    /// A runner over `nn` executing on `device`.
-    pub fn new(nn: &'a BitplaneNn, device: Device) -> Self {
-        BitplaneRunner {
-            nn,
-            device,
-            xbuf: BitTensor::zeros(0, 0),
-            scratch: BitplaneScratch::default(),
-            _scalar: std::marker::PhantomData,
-        }
-    }
-
-    /// The program this runner executes.
-    pub fn nn(&self) -> &BitplaneNn {
-        self.nn
-    }
-
-    /// Advance every session one clock cycle in lockstep; same contract as
-    /// [`SessionRunner::step`](crate::SessionRunner::step) — the batch
-    /// composition may change freely between calls.
-    pub fn step(
-        &mut self,
-        sessions: &mut [Session<T>],
-        inputs: &[Vec<bool>],
-    ) -> Result<Vec<Vec<bool>>, SimError> {
-        let pi = self.nn.num_primary_inputs;
-        let po = self.nn.num_primary_outputs;
-        let s = self.nn.state_bits();
-        let b = sessions.len();
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.len() != b {
-            return Err(SimError::BatchMismatch {
-                expected: b,
-                got: inputs.len(),
-            });
-        }
-        for lane in inputs {
-            if lane.len() != pi {
-                return Err(SimError::InputWidth {
-                    expected: pi,
-                    got: lane.len(),
-                });
-            }
-        }
-        for sess in sessions.iter() {
-            if sess.state_raw().len() != s {
-                return Err(SimError::StateWidth {
-                    expected: s,
-                    got: sess.state_raw().len(),
-                });
-            }
-        }
-        if b == 0 {
-            return Ok(Vec::new());
-        }
-        self.xbuf.resize_to(pi + s, b);
-        self.xbuf.data_mut().fill(0);
-        for (l, lane) in inputs.iter().enumerate() {
-            for (f, &bit) in lane.iter().enumerate() {
-                if bit {
-                    self.xbuf.set_bit(f, l, true);
-                }
-            }
-        }
-        for (l, sess) in sessions.iter().enumerate() {
-            for (f, &v) in sess.state_raw().iter().enumerate() {
-                if v == T::ONE {
-                    self.xbuf.set_bit(pi + f, l, true);
-                }
-            }
-        }
-        let y = self
-            .nn
-            .forward_with(&self.xbuf, self.device, &mut self.scratch);
-        debug_assert_eq!(y.features(), po + s);
-        let outputs = (0..b)
-            .map(|l| (0..po).map(|f| y.get_bit(f, l)).collect())
-            .collect();
-        for (l, sess) in sessions.iter_mut().enumerate() {
-            for (f, v) in sess.state_raw_mut().iter_mut().enumerate() {
-                *v = if y.get_bit(po + f, l) {
-                    T::ONE
-                } else {
-                    T::ZERO
-                };
-            }
-            sess.bump_cycles();
-        }
-        Ok(outputs)
-    }
-
-    /// The zero-copy twin of [`step`](BitplaneRunner::step): `inputs` is
-    /// already packed (`num_primary_inputs × sessions.len()`), the input
-    /// planes are copied word-wise instead of bit-by-bit, and the outputs
-    /// come back packed (`num_primary_outputs × sessions.len()`, ragged
-    /// tails zeroed). Same shape checks and per-lane semantics.
-    pub fn step_planes(
-        &mut self,
-        sessions: &mut [Session<T>],
-        inputs: &BitTensor,
-    ) -> Result<BitTensor, SimError> {
-        let pi = self.nn.num_primary_inputs;
-        let po = self.nn.num_primary_outputs;
-        let s = self.nn.state_bits();
-        let b = sessions.len();
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.batch() != b {
-            return Err(SimError::BatchMismatch {
-                expected: b,
-                got: inputs.batch(),
-            });
-        }
-        if inputs.features() != pi {
-            return Err(SimError::InputWidth {
-                expected: pi,
-                got: inputs.features(),
-            });
-        }
-        for sess in sessions.iter() {
-            if sess.state_raw().len() != s {
-                return Err(SimError::StateWidth {
-                    expected: s,
-                    got: sess.state_raw().len(),
-                });
-            }
-        }
-        if b == 0 {
-            return Ok(BitTensor::zeros(po, 0));
-        }
-        self.xbuf.resize_to(pi + s, b);
-        let w = self.xbuf.words_per_feature();
-        debug_assert_eq!(inputs.words_per_feature(), w);
-        self.xbuf.data_mut()[..pi * w].copy_from_slice(inputs.data());
-        self.xbuf.data_mut()[pi * w..].fill(0);
-        for (l, sess) in sessions.iter().enumerate() {
-            for (f, &v) in sess.state_raw().iter().enumerate() {
-                if v == T::ONE {
-                    self.xbuf.set_bit(pi + f, l, true);
-                }
-            }
-        }
-        let y = self
-            .nn
-            .forward_with(&self.xbuf, self.device, &mut self.scratch);
-        debug_assert_eq!(y.features(), po + s);
-        let mut outputs = BitTensor::zeros(po, b);
-        outputs
-            .data_mut()
-            .copy_from_slice(&y.data()[..po * y.words_per_feature()]);
-        outputs.mask_tails();
-        for (l, sess) in sessions.iter_mut().enumerate() {
-            for (f, v) in sess.state_raw_mut().iter_mut().enumerate() {
-                *v = if y.get_bit(po + f, l) {
-                    T::ONE
-                } else {
-                    T::ZERO
-                };
-            }
-            sess.bump_cycles();
-        }
-        Ok(outputs)
     }
 }

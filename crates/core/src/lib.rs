@@ -55,9 +55,7 @@ pub mod sim;
 pub mod testbench;
 pub mod validate;
 
-pub use bitplane::{
-    BitTensor, BitplaneError, BitplaneNn, BitplaneRunner, BitplaneSimulator, RowClassCensus,
-};
+pub use bitplane::{BitTensor, BitplaneError, BitplaneNn, BitplaneSimulator, RowClassCensus};
 pub use compile::{
     compile, compile_as, compile_bitplane, compile_graph, compile_graph_with_report,
     compile_with_report, CompileError, CompileOptions, CompiledNn,
@@ -68,7 +66,7 @@ pub use ir::report::{CompileReport, IrMetrics, PassStat};
 pub use ir::NnGraph;
 pub use layer::{Activation2, NnLayer};
 pub use model::ModelError;
-pub use session::{Session, SessionRunner};
-pub use sim::{batch_from_bits, SimError, Simulator};
+pub use session::Session;
+pub use sim::{batch_from_bits, SimError, Simulator, StepShape};
 pub use testbench::{format_stim, parse_stim, run_batch, BenchResult, StimError, Stimulus};
 pub use validate::{ValidateError, ValidationReport};

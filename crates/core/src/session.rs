@@ -1,45 +1,52 @@
 //! Resumable per-lane simulation sessions.
 //!
 //! A [`Simulator`](crate::Simulator) owns one fixed batch: `B` testbenches
-//! created together, stepped together, destroyed together. That is the
-//! right shape for offline verification runs, but a *serving* workload is
-//! the opposite: independent clients arrive at arbitrary times, each owns
-//! one testbench, and the scheduler wants to pack whichever of them are
-//! currently runnable into a single forward pass (the paper's stimulus
-//! parallelism, re-cast as request coalescing).
+//! created together, stepped together, destroyed together, their state
+//! resident in the engine between cycles. That is the shape every
+//! run-to-completion job has. A caller that wants to *recompose* the batch
+//! between cycles — park a lane, admit a newcomer, drop one — needs each
+//! lane's recurrent state detached from any particular batch.
 //!
-//! A [`Session`] is the per-lane unit that makes this possible: just the
-//! recurrent state of one testbench (the flip-flop cut values) plus its
-//! cycle count, detached from any particular batch. A [`SessionRunner`]
-//! assembles any set of sessions into one feature-major batch, runs one
-//! cycle, and scatters next-state back — so the *composition* of the batch
-//! can change freely between cycles while every lane's own trajectory stays
-//! bit-exact. [`Simulator::export_sessions`] and
-//! [`Simulator::import_sessions`] bridge the two worlds.
+//! A [`Session`] is that unit: one testbench's flip-flop cut values, bit
+//! packed, plus its cycle count. [`Session::gather`] transposes any set of
+//! sessions into the `state_bits × lanes` planes an engine's `write_state`
+//! takes and [`Session::scatter`] brings the next state back, so the
+//! composition of the batch can change freely between cycles while every
+//! lane's own trajectory stays bit-exact (lanes are independent columns of
+//! the forward pass).
 
+use crate::bitplane::BitTensor;
 use crate::compile::CompiledNn;
-use crate::sim::{SimError, Simulator};
-use c2nn_tensor::{Dense, Device, Scalar};
+use c2nn_tensor::Scalar;
+use std::marker::PhantomData;
 
 /// The resumable state of one simulation lane: one testbench's flip-flop
 /// values and its cycle count. Cheap to create, move, and park between
-/// batched steps.
+/// batched steps. `T` names the scalar type of the network the session was
+/// created for; the bits themselves are engine-independent.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Session<T> {
-    state: Vec<T>,
+    /// Flip-flop `f` is bit `f % 64` of word `f / 64`; bits past `width`
+    /// are zero.
+    state: Vec<u64>,
+    width: usize,
     cycles: u64,
+    _scalar: PhantomData<T>,
 }
 
 impl<T: Scalar> Session<T> {
     /// A fresh session at the power-on state of `nn`.
     pub fn new(nn: &CompiledNn<T>) -> Self {
+        let width = nn.state_init.len();
+        let mut state = vec![0u64; width.div_ceil(64)];
+        for (f, _) in nn.state_init.iter().enumerate().filter(|(_, &b)| b) {
+            state[f / 64] |= 1 << (f % 64);
+        }
         Session {
-            state: nn
-                .state_init
-                .iter()
-                .map(|&b| if b { T::ONE } else { T::ZERO })
-                .collect(),
+            state,
+            width,
             cycles: 0,
+            _scalar: PhantomData,
         }
     }
 
@@ -48,304 +55,34 @@ impl<T: Scalar> Session<T> {
         self.cycles
     }
 
+    /// Flip-flop bits this session carries (the state width of the network
+    /// it was created for).
+    pub fn width(&self) -> usize {
+        self.width
+    }
+
     /// Current state as bits.
     pub fn state_bits(&self) -> Vec<bool> {
-        self.state.iter().map(|&v| v == T::ONE).collect()
-    }
-
-    /// Rewind this lane to the power-on state of `nn`.
-    pub fn reset(&mut self, nn: &CompiledNn<T>) {
-        *self = Session::new(nn);
-    }
-
-    /// Raw state values, for backends that pack lanes themselves (the
-    /// bit-plane runner reads these as bits and writes them back as 0/1).
-    pub(crate) fn state_raw(&self) -> &[T] {
-        &self.state
-    }
-
-    pub(crate) fn state_raw_mut(&mut self) -> &mut [T] {
-        &mut self.state
-    }
-
-    pub(crate) fn bump_cycles(&mut self) {
-        self.cycles += 1;
-    }
-}
-
-/// Steps arbitrary collections of [`Session`]s through one compiled
-/// network, one batched forward pass per call, reusing its assembly and
-/// ping-pong buffers across calls (no per-cycle allocation beyond the
-/// returned output bits).
-pub struct SessionRunner<'a, T> {
-    nn: &'a CompiledNn<T>,
-    device: Device,
-    xbuf: Dense<T>,
-    scratch: (Dense<T>, Dense<T>),
-}
-
-impl<'a, T: Scalar> SessionRunner<'a, T> {
-    /// A runner over `nn` executing on `device`.
-    pub fn new(nn: &'a CompiledNn<T>, device: Device) -> Self {
-        SessionRunner {
-            nn,
-            device,
-            xbuf: Dense::zeros(0, 0),
-            scratch: (Dense::zeros(0, 0), Dense::zeros(0, 0)),
-        }
-    }
-
-    /// The network this runner executes.
-    pub fn nn(&self) -> &CompiledNn<T> {
-        self.nn
-    }
-
-    /// Advance every session one clock cycle in lockstep: `sessions[l]`
-    /// consumes `inputs[l]` (primary-input bits, LSB-first) and its state is
-    /// updated in place. Returns the primary outputs per lane.
-    ///
-    /// The batch is whatever slice the caller assembled — lanes may come
-    /// and go between calls; each session's trajectory is identical to
-    /// running it alone (lanes are independent columns of the forward
-    /// pass).
-    pub fn step(
-        &mut self,
-        sessions: &mut [Session<T>],
-        inputs: &[Vec<bool>],
-    ) -> Result<Vec<Vec<bool>>, SimError> {
-        let pi = self.nn.num_primary_inputs;
-        let po = self.nn.num_primary_outputs;
-        let s = self.nn.state_bits();
-        let b = sessions.len();
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.len() != b {
-            return Err(SimError::BatchMismatch {
-                expected: b,
-                got: inputs.len(),
-            });
-        }
-        for lane in inputs {
-            if lane.len() != pi {
-                return Err(SimError::InputWidth {
-                    expected: pi,
-                    got: lane.len(),
-                });
-            }
-        }
-        for sess in sessions.iter() {
-            if sess.state.len() != s {
-                return Err(SimError::StateWidth {
-                    expected: s,
-                    got: sess.state.len(),
-                });
-            }
-        }
-        if b == 0 {
-            return Ok(Vec::new());
-        }
-        // x = [inputs ; state], feature-major: feature f of lane l at
-        // data[f * b + l]
-        self.xbuf.resize_to(pi + s, b);
-        let data = self.xbuf.data_mut();
-        for v in data.iter_mut() {
-            *v = T::ZERO;
-        }
-        for (l, lane) in inputs.iter().enumerate() {
-            for (f, &bit) in lane.iter().enumerate() {
-                if bit {
-                    data[f * b + l] = T::ONE;
-                }
-            }
-        }
-        for (l, sess) in sessions.iter().enumerate() {
-            for (f, &v) in sess.state.iter().enumerate() {
-                data[(pi + f) * b + l] = v;
-            }
-        }
-        let y = self
-            .nn
-            .forward_with(&self.xbuf, self.device, &mut self.scratch);
-        debug_assert_eq!(y.rows(), po + s);
-        let ydata = y.data();
-        let outputs = (0..b)
-            .map(|l| (0..po).map(|f| ydata[f * b + l] == T::ONE).collect())
-            .collect();
-        for (l, sess) in sessions.iter_mut().enumerate() {
-            for f in 0..s {
-                sess.state[f] = ydata[(po + f) * b + l];
-            }
-            sess.cycles += 1;
-        }
-        Ok(outputs)
-    }
-}
-
-impl<'a, T: Scalar> Simulator<'a, T> {
-    /// Snapshot every lane of this simulator as an independent [`Session`]
-    /// (lane order preserved). All sessions carry the simulator's cycle
-    /// count.
-    pub fn export_sessions(&self) -> Vec<Session<T>> {
-        let cycles = self.cycles();
-        self.state_lanes_raw()
-            .into_iter()
-            .map(|state| Session { state, cycles })
+        (0..self.width)
+            .map(|f| self.state[f / 64] >> (f % 64) & 1 == 1)
             .collect()
     }
 
-    /// Load per-lane states from sessions (one per lane, in lane order).
-    /// The simulator's own cycle counter is left untouched — sessions keep
-    /// their individual counts.
-    pub fn import_sessions(&mut self, sessions: &[Session<T>]) -> Result<(), SimError> {
-        if sessions.len() != self.batch() {
-            return Err(SimError::BatchMismatch {
-                expected: self.batch(),
-                got: sessions.len(),
-            });
-        }
-        let s = self.state_width();
-        for sess in sessions {
-            if sess.state.len() != s {
-                return Err(SimError::StateWidth {
-                    expected: s,
-                    got: sess.state.len(),
-                });
-            }
-        }
-        self.load_lane_states(sessions.iter().map(|sess| sess.state.as_slice()));
-        Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::compile::{compile, CompileOptions};
-    use c2nn_netlist::{NetlistBuilder, WordOps};
-
-    fn counter_nn() -> CompiledNn<f32> {
-        let mut b = NetlistBuilder::new("ctr");
-        let clk = b.clock("clk");
-        let en = b.input("en");
-        let q = b.fresh_word("q", 4);
-        let inc = b.inc_word(&q);
-        let next = b.mux_word(en, &q, &inc);
-        b.connect_ff_word(&next, &q, clk, None, None, 0, 0);
-        b.output_word(&q, "q");
-        compile(&b.finish().unwrap(), CompileOptions::with_l(4)).unwrap()
+    /// Transpose the sessions' states into `planes` (`width × sessions.len()`,
+    /// lane order preserved). Every session must carry the same width.
+    pub fn gather(sessions: &[Self], planes: &mut BitTensor) {
+        let width = sessions.first().map_or(0, Session::width);
+        debug_assert!(sessions.iter().all(|s| s.width == width));
+        planes.gather_rows(width, sessions, |s| &s.state);
     }
 
-    fn as_u32(bits: &[bool]) -> u32 {
-        bits.iter().enumerate().map(|(i, &b)| (b as u32) << i).sum()
-    }
-
-    #[test]
-    fn sessions_match_simulator_lanes() {
-        let nn = counter_nn();
-        let mut sim = Simulator::new(&nn, 3, Device::Serial);
-        let mut sessions: Vec<Session<f32>> = (0..3).map(|_| Session::new(&nn)).collect();
-        let mut runner = SessionRunner::new(&nn, Device::Serial);
-        // lane 0 always counts, lane 1 counts on even cycles, lane 2 never
-        for c in 0..10u32 {
-            let lanes = vec![vec![true], vec![c % 2 == 0], vec![false]];
-            let sim_out = sim.step(&Dense::from_lanes(&lanes)).to_lanes();
-            let sess_out = runner.step(&mut sessions, &lanes).unwrap();
-            assert_eq!(sim_out, sess_out, "cycle {c}");
+    /// Inverse of [`Session::gather`] after one lockstep cycle: every
+    /// session takes its lane's next state from `planes` and counts the
+    /// cycle.
+    pub fn scatter(sessions: &mut [Self], planes: &BitTensor) {
+        planes.scatter_rows(sessions, |s| &mut s.state);
+        for s in sessions {
+            s.cycles += 1;
         }
-        assert_eq!(sessions[0].cycles(), 10);
-        // and the states agree too
-        assert_eq!(
-            sim.state_lanes(),
-            sessions.iter().map(|s| s.state_bits()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn batch_composition_can_change_between_cycles() {
-        let nn = counter_nn();
-        // a lone session counts 5 cycles...
-        let mut runner = SessionRunner::new(&nn, Device::Serial);
-        let mut a = Session::new(&nn);
-        for _ in 0..5 {
-            runner
-                .step(std::slice::from_mut(&mut a), &[vec![true]])
-                .unwrap();
-        }
-        // ...then a newcomer joins and both advance in one batch
-        let mut b = Session::new(&nn);
-        let mut pair = [a, b.clone()];
-        for _ in 0..3 {
-            runner.step(&mut pair, &[vec![true], vec![true]]).unwrap();
-        }
-        [a, b] = pair;
-        assert_eq!(as_u32(&a.state_bits()), 8, "resumed lane: 5 + 3 cycles");
-        assert_eq!(as_u32(&b.state_bits()), 3, "late joiner: 3 cycles");
-        assert_eq!(a.cycles(), 8);
-        assert_eq!(b.cycles(), 3);
-    }
-
-    #[test]
-    fn export_import_roundtrip() {
-        let nn = counter_nn();
-        let mut sim = Simulator::new(&nn, 2, Device::Serial);
-        let ones = Dense::from_lanes(&[vec![true], vec![true]]);
-        for _ in 0..6 {
-            sim.step(&ones);
-        }
-        let sessions = sim.export_sessions();
-        assert_eq!(sessions.len(), 2);
-        assert_eq!(as_u32(&sessions[0].state_bits()), 6);
-        assert_eq!(sessions[0].cycles(), 6);
-
-        // continue one exported lane standalone; reimport into a fresh sim
-        let mut runner = SessionRunner::new(&nn, Device::Serial);
-        let mut lane = sessions[0].clone();
-        runner
-            .step(std::slice::from_mut(&mut lane), &[vec![true]])
-            .unwrap();
-        assert_eq!(as_u32(&lane.state_bits()), 7);
-
-        let mut sim2 = Simulator::new(&nn, 2, Device::Serial);
-        sim2.import_sessions(&sessions).unwrap();
-        // the counter registers its output, so the first step reads back the
-        // imported state and advances it
-        let out = sim2.step(&ones).to_lanes();
-        assert_eq!(as_u32(&out[0]), 6, "imported state is visible");
-        assert_eq!(as_u32(&sim2.state_lanes()[0]), 7, "and continues counting");
-    }
-
-    #[test]
-    fn shape_errors_are_typed() {
-        let nn = counter_nn();
-        let mut runner = SessionRunner::new(&nn, Device::Serial);
-        let mut sess = [Session::new(&nn)];
-        assert_eq!(
-            runner.step(&mut sess, &[]),
-            Err(SimError::BatchMismatch {
-                expected: 1,
-                got: 0
-            })
-        );
-        assert_eq!(
-            runner.step(&mut sess, &[vec![true, false]]),
-            Err(SimError::InputWidth {
-                expected: 1,
-                got: 2
-            })
-        );
-        let mut bad = [Session {
-            state: vec![0.0; 2],
-            cycles: 0,
-        }];
-        assert!(matches!(
-            runner.step(&mut bad, &[vec![true]]),
-            Err(SimError::StateWidth {
-                expected: 4,
-                got: 2
-            })
-        ));
-        let mut sim = Simulator::new(&nn, 2, Device::Serial);
-        assert!(sim.import_sessions(&[Session::new(&nn)]).is_err());
     }
 }

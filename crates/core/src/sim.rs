@@ -22,6 +22,7 @@
 //! flipped weight bit, a cosmic-ray state upset, an out-of-range stimulus)
 //! into typed [`SimError`]s.
 
+use crate::bitplane::BitTensor;
 use crate::compile::CompiledNn;
 use c2nn_tensor::{Dense, Device, Scalar};
 use std::fmt;
@@ -117,6 +118,51 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
+/// What one clock cycle of a network looks like from outside: its port
+/// widths and depth. Both engines report it, and the shape contract every
+/// stepping entry point enforces is raised from here and nowhere else.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct StepShape {
+    /// Primary inputs a testbench drives each cycle.
+    pub inputs: usize,
+    /// Primary outputs read back each cycle.
+    pub outputs: usize,
+    /// Flip-flop cut bits fed back between cycles.
+    pub state: usize,
+    /// Layers per forward pass (zero is rejected, not stepped).
+    pub layers: usize,
+}
+
+impl StepShape {
+    /// Check one cycle's input block against the network and the `lanes`
+    /// being stepped: `got_lanes` is the block's lane count and `widths`
+    /// yields its feature count (once for a tensor, per lane for ragged
+    /// bit vectors).
+    pub fn check_inputs(
+        &self,
+        lanes: usize,
+        got_lanes: usize,
+        widths: impl IntoIterator<Item = usize>,
+    ) -> Result<(), SimError> {
+        if self.layers == 0 {
+            return Err(SimError::NoLayers);
+        }
+        if got_lanes != lanes {
+            return Err(SimError::BatchMismatch {
+                expected: lanes,
+                got: got_lanes,
+            });
+        }
+        match widths.into_iter().find(|&w| w != self.inputs) {
+            Some(got) => Err(SimError::InputWidth {
+                expected: self.inputs,
+                got,
+            }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// FNV-1a over a stream of 64-bit words (weights and biases, bit-exact).
 fn fnv1a_words(seed: u64, words: impl Iterator<Item = u64>) -> u64 {
     let mut h = seed;
@@ -142,6 +188,16 @@ impl<T: Scalar> CompiledNn<T> {
             h = fnv1a_words(h, layer.bias.iter().map(|v| v.to_bits64()));
         }
         h
+    }
+
+    /// Port widths and depth, as the stepping engines see them.
+    pub fn shape(&self) -> StepShape {
+        StepShape {
+            inputs: self.num_primary_inputs,
+            outputs: self.num_primary_outputs,
+            state: self.state_bits(),
+            layers: self.layers.len(),
+        }
     }
 
     /// Raw combinational forward pass: `x` is `(pi + state) × batch` of
@@ -255,7 +311,7 @@ impl<'a, T: Scalar> Simulator<'a, T> {
     pub fn new(nn: &'a CompiledNn<T>, batch: usize, device: Device) -> Self {
         let mut sim = Simulator {
             nn,
-            state: Dense::zeros(nn.state_bits(), batch),
+            state: Dense::zeros(0, 0),
             device,
             batch,
             cycles: 0,
@@ -263,7 +319,7 @@ impl<'a, T: Scalar> Simulator<'a, T> {
             scratch: (Dense::zeros(0, 0), Dense::zeros(0, 0)),
             guard: None,
         };
-        sim.reset();
+        sim.reset(batch);
         sim
     }
 
@@ -309,44 +365,40 @@ impl<'a, T: Scalar> Simulator<'a, T> {
         self.state.to_lanes()
     }
 
-    /// Width of the state vector (flip-flop cut bits).
-    pub fn state_width(&self) -> usize {
-        self.nn.state_bits()
+    /// Port widths and depth of the network being stepped.
+    pub fn shape(&self) -> StepShape {
+        self.nn.shape()
     }
 
-    /// Current state as per-lane raw scalar vectors (column extraction from
-    /// the feature-major state tensor). Exists for the session layer.
-    pub(crate) fn state_lanes_raw(&self) -> Vec<Vec<T>> {
-        (0..self.batch)
-            .map(|l| {
-                (0..self.state.rows())
-                    .map(|f| self.state.get(f, l))
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// Overwrite per-lane state columns from an iterator of state slices
-    /// (one per lane, lane order; widths pre-validated by the caller).
-    pub(crate) fn load_lane_states<'s>(&mut self, lanes: impl Iterator<Item = &'s [T]>) {
-        for (l, lane) in lanes.enumerate() {
-            for (f, &v) in lane.iter().enumerate() {
-                self.state.set(f, l, v);
-            }
-        }
-    }
-
-    /// Reset all testbenches to the power-on state.
-    pub fn reset(&mut self) {
-        self.state = Dense::zeros(self.nn.state_bits(), self.batch);
-        for (i, &b) in self.nn.state_init.iter().enumerate() {
-            if b {
-                for l in 0..self.batch {
-                    self.state.set(i, l, T::ONE);
-                }
-            }
+    /// Put `lanes` testbenches at the power-on state (the lane count may
+    /// differ from the previous run's; buffers are reused).
+    pub fn reset(&mut self, lanes: usize) {
+        self.batch = lanes;
+        self.state.resize_to(self.nn.state_bits(), lanes);
+        for (row, &init) in self
+            .state
+            .data_mut()
+            .chunks_mut(lanes.max(1))
+            .zip(&self.nn.state_init)
+        {
+            row.fill(if init { T::ONE } else { T::ZERO });
         }
         self.cycles = 0;
+    }
+
+    /// Copy the resident state out as bit planes (`state_bits × lanes`).
+    pub fn read_state(&self, planes: &mut BitTensor) {
+        planes.resize_to(self.state.rows(), self.batch);
+        planes.pack_scalars(self.state.data());
+    }
+
+    /// Replace the resident state with `planes` (`state_bits × lanes`);
+    /// the lane count follows the planes. The cycle counter is untouched.
+    pub fn write_state(&mut self, planes: &BitTensor) {
+        assert_eq!(planes.features(), self.nn.state_bits(), "state width");
+        self.batch = planes.batch();
+        self.state.resize_to(planes.features(), planes.batch());
+        planes.unpack_scalars(self.state.data_mut());
     }
 
     /// One clock cycle for the whole batch: `inputs` is
@@ -357,27 +409,58 @@ impl<'a, T: Scalar> Simulator<'a, T> {
     /// [`Simulator::try_step`] for typed errors and the opt-in corruption
     /// guard.
     pub fn step(&mut self, inputs: &Dense<T>) -> Dense<T> {
+        assert_eq!(inputs.cols(), self.batch, "batch mismatch");
+        assert_eq!(
+            inputs.rows(),
+            self.nn.num_primary_inputs,
+            "primary-input width mismatch"
+        );
+        let mut out = Dense::zeros(self.nn.num_primary_outputs, self.batch);
+        self.cycle(
+            |x| x.copy_from_slice(inputs.data()),
+            |y| out.data_mut().copy_from_slice(y),
+        );
+        out
+    }
+
+    /// [`Simulator::step`] on the interchange type: `inputs` arrives as bit
+    /// planes (`num_primary_inputs × B`) and the outputs land in `out`
+    /// (`num_primary_outputs × B`, resized in place, ragged tails zero).
+    /// Only the ports are converted — the state stays in `T` between
+    /// cycles.
+    pub fn step_packed_into(
+        &mut self,
+        inputs: &BitTensor,
+        out: &mut BitTensor,
+    ) -> Result<(), SimError> {
+        self.shape()
+            .check_inputs(self.batch, inputs.batch(), [inputs.features()])?;
+        out.resize_to(self.nn.num_primary_outputs, self.batch);
+        self.cycle(|x| inputs.unpack_scalars(x), |y| out.pack_scalars(y));
+        Ok(())
+    }
+
+    /// The state-feedback loop: `load` fills the primary-input rows of
+    /// `x = [inputs ; state]`, one forward pass runs, `store` reads the
+    /// primary-output rows of `y = [outputs ; next state]`, and the next
+    /// state replaces the resident one.
+    fn cycle(&mut self, load: impl FnOnce(&mut [T]), store: impl FnOnce(&[T])) {
         let pi = self.nn.num_primary_inputs;
         let po = self.nn.num_primary_outputs;
         let s = self.nn.state_bits();
-        assert_eq!(inputs.cols(), self.batch, "batch mismatch");
-        assert_eq!(inputs.rows(), pi, "primary-input width mismatch");
-        // x = [inputs ; state] — contiguous block copies in feature-major
+        // contiguous block copies in feature-major
         self.xbuf.resize_to(pi + s, self.batch);
-        self.xbuf.data_mut()[..pi * self.batch].copy_from_slice(inputs.data());
-        self.xbuf.data_mut()[pi * self.batch..].copy_from_slice(self.state.data());
+        let (x_in, x_state) = self.xbuf.data_mut().split_at_mut(pi * self.batch);
+        load(x_in);
+        x_state.copy_from_slice(self.state.data());
         let y = self
             .nn
             .forward_with(&self.xbuf, self.device, &mut self.scratch);
         debug_assert_eq!(y.rows(), po + s);
-        // split [outputs ; next state]
-        let mut out = Dense::zeros(po, self.batch);
-        out.data_mut().copy_from_slice(&y.data()[..po * self.batch]);
-        self.state
-            .data_mut()
-            .copy_from_slice(&y.data()[po * self.batch..]);
+        let (y_out, y_state) = y.data().split_at(po * self.batch);
+        store(y_out);
+        self.state.data_mut().copy_from_slice(y_state);
         self.cycles += 1;
-        out
     }
 
     /// [`Simulator::step`] with typed errors, plus — when
@@ -392,22 +475,8 @@ impl<'a, T: Scalar> Simulator<'a, T> {
     /// never silently propagates into subsequent cycles' results being
     /// reported as trustworthy.
     pub fn try_step(&mut self, inputs: &Dense<T>) -> Result<Dense<T>, SimError> {
-        let pi = self.nn.num_primary_inputs;
-        if self.nn.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.cols() != self.batch {
-            return Err(SimError::BatchMismatch {
-                expected: self.batch,
-                got: inputs.cols(),
-            });
-        }
-        if inputs.rows() != pi {
-            return Err(SimError::InputWidth {
-                expected: pi,
-                got: inputs.rows(),
-            });
-        }
+        self.shape()
+            .check_inputs(self.batch, inputs.cols(), [inputs.rows()])?;
         if let Some(reference) = self.guard {
             let now = self.nn.weight_checksum();
             if now != reference {

@@ -2,7 +2,8 @@
 //! inverses and lane-scatter must be exact for arbitrary feature widths
 //! and batch sizes 1..=300 — including ragged batches whose last word is
 //! only partially filled — and tail garbage must never leak into a valid
-//! lane.
+//! lane. The block transposes (`gather_rows` / `scatter_rows`) and the
+//! scalar conversions are held to the same per-bit reference.
 
 use c2nn_core::bitplane::BitTensor;
 use proptest::prelude::*;
@@ -87,5 +88,69 @@ proptest! {
         let r = batch % 64;
         let want = if r == 0 { !0u64 } else { (1u64 << r) - 1 };
         prop_assert_eq!(t.tail_mask(), want);
+    }
+
+    /// The 64×64-block transpose between lane-major packed rows and planes
+    /// agrees with the per-bit reference in both directions, for widths
+    /// and batches on either side of a word boundary, and never lets tail
+    /// garbage reach a row.
+    #[test]
+    fn row_transposes_match_per_bit_reference(
+        features in 1usize..=200,
+        batch in 0usize..=200,
+        garbage in any::<u64>(),
+        bits in proptest::collection::vec(any::<bool>(), 1..512),
+    ) {
+        let lanes = lanes_from_pool(&bits, batch, features);
+        let pack_row = |lane: &Vec<bool>| {
+            let mut row = vec![0u64; features.div_ceil(64)];
+            for (f, _) in lane.iter().enumerate().filter(|(_, &b)| b) {
+                row[f / 64] |= 1 << (f % 64);
+            }
+            row
+        };
+        let rows: Vec<Vec<u64>> = lanes.iter().map(pack_row).collect();
+        let mut t = BitTensor::zeros(3, 7);
+        t.gather_rows(features, &rows, |r| r);
+        let want = if batch == 0 {
+            BitTensor::zeros(features, 0)
+        } else {
+            BitTensor::from_lanes(&lanes)
+        };
+        prop_assert_eq!(&t, &want);
+
+        // dirty the ragged tail, then scatter into rows full of garbage
+        let (w, mask) = (t.words_per_feature(), t.tail_mask());
+        if mask != !0 {
+            for f in 0..features {
+                t.data_mut()[f * w + w - 1] |= garbage & !mask;
+            }
+        }
+        let mut back = vec![vec![garbage; features.div_ceil(64)]; batch];
+        t.scatter_rows(&mut back, |r| r);
+        prop_assert_eq!(back, rows);
+    }
+
+    /// Planes ↔ exact 0/1 scalars (the CSR engine's port conversion) is
+    /// the identity and packs to the canonical zero-tail form.
+    #[test]
+    fn scalar_conversion_roundtrip(
+        features in 1usize..24,
+        batch in 1usize..=200,
+        bits in proptest::collection::vec(any::<bool>(), 1..512),
+    ) {
+        let lanes = lanes_from_pool(&bits, batch, features);
+        let t = BitTensor::from_lanes(&lanes);
+        let mut scalars = vec![7.0f32; features * batch];
+        t.unpack_scalars(&mut scalars);
+        for (l, lane) in lanes.iter().enumerate() {
+            for (f, &bit) in lane.iter().enumerate() {
+                prop_assert_eq!(scalars[f * batch + l], bit as u8 as f32);
+            }
+        }
+        let mut back = BitTensor::zeros(features, batch);
+        back.data_mut().fill(!0);
+        back.pack_scalars(&scalars);
+        prop_assert_eq!(back, t);
     }
 }

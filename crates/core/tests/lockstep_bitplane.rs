@@ -6,8 +6,8 @@
 //! the unmerged pipeline it prefers (gate/XOR ops) and the fully merged
 //! one that forces its bit-sliced popcount fallback.
 
-use c2nn_core::bitplane::{BitplaneNn, BitplaneRunner, BitplaneSimulator};
-use c2nn_core::{compile, CompileOptions, PassId, PassSet, Session, SessionRunner, Simulator};
+use c2nn_core::bitplane::{BitTensor, BitplaneNn, BitplaneSimulator};
+use c2nn_core::{compile, CompileOptions, PassId, PassSet, SimError, Simulator};
 use c2nn_netlist::Netlist;
 use c2nn_refsim::CycleSim;
 use c2nn_tensor::{Dense, Device};
@@ -28,6 +28,14 @@ impl Lcg {
             .map(|_| (0..width).map(|_| self.bit()).collect())
             .collect()
     }
+}
+
+/// One clock on per-lane bit vectors: pack, step the resident loop, unpack.
+fn step_lanes(sim: &mut BitplaneSimulator, lanes: &[Vec<bool>]) -> Vec<Vec<bool>> {
+    let mut out = BitTensor::zeros(0, 0);
+    sim.step_packed_into(&BitTensor::from_lanes(lanes), &mut out)
+        .unwrap();
+    out.to_lanes()
 }
 
 /// The suite circuits, with DMA at its small test variant to keep
@@ -91,7 +99,7 @@ fn bitplane_matches_simulator_and_refsim_on_the_suite() {
             let pi = nn.num_primary_inputs;
             for cycle in 0..CYCLES {
                 let lanes = rng.lanes(BATCH, pi);
-                let got = bit_sim.step(&lanes).unwrap();
+                let got = step_lanes(&mut bit_sim, &lanes);
                 let want = csr_sim.step(&Dense::<f32>::from_lanes(&lanes)).to_lanes();
                 assert_eq!(
                     got, want,
@@ -146,7 +154,7 @@ fn exact_word_and_single_lane_batches_stay_exact() {
             let mut rng = Lcg(0x51ce ^ batch as u64);
             for cycle in 0..8 {
                 let lanes = rng.lanes(batch, nn.num_primary_inputs);
-                let got = bit_sim.step(&lanes).unwrap();
+                let got = step_lanes(&mut bit_sim, &lanes);
                 let want = csr_sim.step(&Dense::<f32>::from_lanes(&lanes)).to_lanes();
                 assert_eq!(got, want, "uart [{tag}] batch {batch}: cycle {cycle}");
             }
@@ -166,106 +174,136 @@ fn parallel_dispatch_matches_serial() {
     let mut rng = Lcg(0xa11e1);
     for cycle in 0..6 {
         let lanes = rng.lanes(130, nn.num_primary_inputs);
-        let a = serial.step(&lanes).unwrap();
-        let b = parallel.step(&lanes).unwrap();
+        let a = step_lanes(&mut serial, &lanes);
+        let b = step_lanes(&mut parallel, &lanes);
         assert_eq!(a, b, "parallel dispatch diverged at cycle {cycle}");
     }
     assert_eq!(serial.state_lanes(), parallel.state_lanes());
 }
 
 #[test]
-fn bitplane_runner_tracks_session_runner_through_batch_changes() {
-    // resumable sessions with mid-stream batch-width changes, crossing a
-    // word boundary in both directions: 60 lanes → 70 (spills into a
-    // second word) → 5 (back under one). The bit-plane runner must follow
-    // the CSR SessionRunner lane for lane through every recomposition.
+fn csr_packed_entry_is_the_same_loop_as_step() {
+    // the CSR engine converts only its ports: stepping on planes must
+    // track stepping on `Dense` bit for bit, state included, and hand
+    // back canonical (zero-tail) planes
     let nl = c2nn_circuits::uart();
-    let nn = compile(&nl, CompileOptions::with_l(4).with_passes(unmerged())).unwrap();
-    let plan = BitplaneNn::from_compiled(&nn).unwrap();
-    let pi = nn.num_primary_inputs;
-
-    let mut csr_runner = SessionRunner::new(&nn, Device::Serial);
-    let mut bit_runner: BitplaneRunner<f32> = BitplaneRunner::new(&plan, Device::Serial);
-    let mut csr_sessions: Vec<Session<f32>> = (0..60).map(|_| Session::new(&nn)).collect();
-    let mut bit_sessions: Vec<Session<f32>> = (0..60).map(|_| Session::new(&nn)).collect();
-
-    let mut rng = Lcg(0x5e55);
-    let drive = |csr_s: &mut Vec<Session<f32>>,
-                 bit_s: &mut Vec<Session<f32>>,
-                 csr_r: &mut SessionRunner<f32>,
-                 bit_r: &mut BitplaneRunner<f32>,
-                 rng: &mut Lcg,
-                 cycles: usize,
-                 phase: &str| {
-        for cycle in 0..cycles {
-            let lanes = rng.lanes(csr_s.len(), pi);
-            let want = csr_r.step(csr_s, &lanes).unwrap();
-            let got = bit_r.step(bit_s, &lanes).unwrap();
-            assert_eq!(got, want, "{phase}: cycle {cycle}");
+    let nn = compile(&nl, CompileOptions::with_l(4)).unwrap();
+    for batch in [1usize, 63, 65] {
+        let mut dense = Simulator::new(&nn, batch, Device::Serial);
+        let mut packed = Simulator::new(&nn, batch, Device::Serial);
+        let mut rng = Lcg(0xd3 ^ batch as u64);
+        let mut out = BitTensor::zeros(0, 0);
+        for cycle in 0..8 {
+            let lanes = rng.lanes(batch, nn.num_primary_inputs);
+            let want = dense.step(&Dense::<f32>::from_lanes(&lanes)).to_lanes();
+            packed
+                .step_packed_into(&BitTensor::from_lanes(&lanes), &mut out)
+                .unwrap();
+            assert_eq!(out.to_lanes(), want, "batch {batch}: cycle {cycle}");
+            assert_eq!(out, BitTensor::from_lanes(&want), "canonical planes");
         }
-    };
-
-    drive(
-        &mut csr_sessions,
-        &mut bit_sessions,
-        &mut csr_runner,
-        &mut bit_runner,
-        &mut rng,
-        4,
-        "60 lanes",
-    );
-    for _ in 0..10 {
-        csr_sessions.push(Session::new(&nn));
-        bit_sessions.push(Session::new(&nn));
-    }
-    drive(
-        &mut csr_sessions,
-        &mut bit_sessions,
-        &mut csr_runner,
-        &mut bit_runner,
-        &mut rng,
-        4,
-        "70 lanes",
-    );
-    // keep a scattered handful: lanes 0, 17, 59, 63, 69
-    for keep in [(0usize, 0usize), (1, 17), (2, 59), (3, 63), (4, 69)] {
-        csr_sessions.swap(keep.0, keep.1);
-        bit_sessions.swap(keep.0, keep.1);
-    }
-    csr_sessions.truncate(5);
-    bit_sessions.truncate(5);
-    drive(
-        &mut csr_sessions,
-        &mut bit_sessions,
-        &mut csr_runner,
-        &mut bit_runner,
-        &mut rng,
-        4,
-        "5 lanes",
-    );
-
-    // trajectories are identical down to state and cycle counts (lanes 63
-    // and 69 joined after the first 4 cycles, so they carry 8, not 12)
-    for (l, (a, b)) in csr_sessions.iter().zip(&bit_sessions).enumerate() {
-        assert_eq!(a.state_bits(), b.state_bits(), "lane {l} state");
-        assert_eq!(a.cycles(), b.cycles(), "lane {l} cycles");
-        assert_eq!(a.cycles(), if l < 3 { 12 } else { 8 });
+        assert_eq!(packed.state_lanes(), dense.state_lanes());
+        assert_eq!(packed.cycles(), 8);
     }
 }
 
 #[test]
-fn shape_errors_match_the_csr_runner() {
+fn output_planes_never_carry_dirty_ragged_tails() {
+    // inverting ops and the all-ones power-on planes of init-true flops
+    // set the bits past `batch` inside the engine; what leaves it must be
+    // the one canonical image of the logical tensor
+    let nl = c2nn_circuits::generators::random_fsm(3, 10, 60, 6, 0x7a11);
+    let nn = compile(&nl, CompileOptions::with_l(4).with_passes(unmerged())).unwrap();
+    assert!(nn.state_init.contains(&true), "need an init-true flop");
+    let plan = BitplaneNn::from_compiled(&nn).unwrap();
+    for batch in [1usize, 63, 64, 65] {
+        let mut sim = BitplaneSimulator::new(&plan, batch, Device::Serial);
+        let mut rng = Lcg(0x7a11 ^ batch as u64);
+        let (mut out, mut state) = (BitTensor::zeros(0, 0), BitTensor::zeros(0, 0));
+        for cycle in 0..4 {
+            let x = BitTensor::from_lanes(&rng.lanes(batch, nn.num_primary_inputs));
+            sim.step_packed_into(&x, &mut out).unwrap();
+            assert_eq!(
+                out,
+                BitTensor::from_lanes(&out.to_lanes()),
+                "batch {batch}: dirty output tail at cycle {cycle}"
+            );
+            sim.read_state(&mut state);
+            assert_eq!(
+                state,
+                BitTensor::from_lanes(&state.to_lanes()),
+                "batch {batch}: dirty state tail at cycle {cycle}"
+            );
+        }
+    }
+}
+
+#[test]
+fn state_survives_a_read_write_round_trip_and_a_lane_count_change() {
+    // read_state / write_state are how resumable sessions are derived from
+    // the resident loop: a state lifted out of one engine and dropped into
+    // the other (at a different lane count than it was built with) must
+    // continue the same trajectory
+    let nl = c2nn_circuits::uart();
+    let nn = compile(&nl, CompileOptions::with_l(4).with_passes(unmerged())).unwrap();
+    let plan = BitplaneNn::from_compiled(&nn).unwrap();
+    let batch = 70;
+    let mut bit_sim = BitplaneSimulator::new(&plan, batch, Device::Serial);
+    let mut rng = Lcg(0x5e55);
+    for _ in 0..4 {
+        let lanes = rng.lanes(batch, nn.num_primary_inputs);
+        step_lanes(&mut bit_sim, &lanes);
+    }
+    let mut state = BitTensor::zeros(0, 0);
+    bit_sim.read_state(&mut state);
+    let mut csr_sim = Simulator::new(&nn, 3, Device::Serial);
+    csr_sim.write_state(&state);
+    assert_eq!(csr_sim.batch(), batch);
+    assert_eq!(csr_sim.state_lanes(), bit_sim.state_lanes());
+    let mut back = BitTensor::zeros(0, 0);
+    csr_sim.read_state(&mut back);
+    assert_eq!(back, state);
+    for cycle in 0..4 {
+        let lanes = rng.lanes(batch, nn.num_primary_inputs);
+        let want = csr_sim.step(&Dense::<f32>::from_lanes(&lanes)).to_lanes();
+        assert_eq!(step_lanes(&mut bit_sim, &lanes), want, "cycle {cycle}");
+    }
+    // reset changes the lane count and rewinds to power-on
+    bit_sim.reset(5);
+    csr_sim.reset(5);
+    assert_eq!((bit_sim.batch(), bit_sim.cycles()), (5, 0));
+    assert_eq!(bit_sim.state_lanes(), vec![nn.state_init.clone(); 5]);
+    assert_eq!(csr_sim.state_lanes(), bit_sim.state_lanes());
+}
+
+#[test]
+fn resident_shape_errors_are_typed_and_identical_across_engines() {
     let nl = c2nn_circuits::uart();
     let nn = compile(&nl, CompileOptions::with_l(4).with_passes(unmerged())).unwrap();
     let plan = BitplaneNn::from_compiled(&nn).unwrap();
     let pi = nn.num_primary_inputs;
-
-    let mut bit_runner: BitplaneRunner<f32> = BitplaneRunner::new(&plan, Device::Serial);
-    let mut sess = [Session::new(&nn)];
-    assert!(bit_runner.step(&mut sess, &[]).is_err());
-    assert!(bit_runner.step(&mut sess, &[vec![true; pi + 1]]).is_err());
-
-    let mut sim = BitplaneSimulator::new(&plan, 2, Device::Serial);
-    assert!(sim.step(&[vec![false; pi]]).is_err());
-    assert!(sim.step(&[vec![false; pi + 1], vec![false; pi]]).is_err());
+    let mut bit_sim = BitplaneSimulator::new(&plan, 2, Device::Serial);
+    let mut csr_sim = Simulator::new(&nn, 2, Device::Serial);
+    let mut out = BitTensor::zeros(0, 0);
+    for (x, want) in [
+        (
+            BitTensor::zeros(pi, 1),
+            SimError::BatchMismatch {
+                expected: 2,
+                got: 1,
+            },
+        ),
+        (
+            BitTensor::zeros(pi + 1, 2),
+            SimError::InputWidth {
+                expected: pi,
+                got: pi + 1,
+            },
+        ),
+    ] {
+        assert_eq!(bit_sim.step_packed_into(&x, &mut out), Err(want.clone()));
+        assert_eq!(csr_sim.step_packed_into(&x, &mut out), Err(want));
+    }
+    // a refused step leaves the engine where it was
+    assert_eq!((bit_sim.cycles(), csr_sim.cycles()), (0, 0));
 }

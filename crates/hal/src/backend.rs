@@ -1,14 +1,15 @@
 //! The backend trait contract: capabilities manifest, admission, plans,
-//! and resumable runners.
+//! and runners.
 //!
 //! A [`Backend`] is a registered execution engine. It does not execute
 //! anything itself — it *admits* a compiled network, producing a
 //! [`Plan`]: the backend-specific legalized artifact (a CSR network as-is,
 //! a bit-plane program, a future GPU buffer set) plus a capabilities
-//! [`Manifest`] the cost model prices. A plan manufactures resumable
-//! [`Runner`]s — the serve scheduler's per-thread stepping engines — and
-//! offers a batch-to-completion entry point ([`Plan::execute_batch`]) for
-//! offline runs.
+//! [`Manifest`] the cost model prices. A plan manufactures [`Runner`]s —
+//! one engine each, its recurrent state resident in the engine's own
+//! format between cycles — and offers a batch-to-completion entry point
+//! ([`Plan::execute_batch`]) over the shared ragged driver
+//! ([`RaggedBatch`]).
 //!
 //! Admission is fallible by design: a backend that cannot run a model
 //! (e.g. bit-plane legalization of non-integral weights) returns a typed
@@ -16,7 +17,10 @@
 //! the next-best candidate instead of discovering the failure inside a
 //! batcher thread.
 
-use c2nn_core::{BenchResult, BitTensor, CompileOptions, CompiledNn, Session, SimError, Stimulus};
+use crate::ragged::{RaggedBatch, Testbench};
+use c2nn_core::{
+    BenchResult, BitTensor, CompileOptions, CompiledNn, Session, SimError, StepShape, Stimulus,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -93,34 +97,81 @@ c2nn_json::json_struct!(Manifest {
     row_classes,
 });
 
-/// A resumable stepping engine over a plan: the HAL twin of
-/// [`SessionRunner::step`](c2nn_core::SessionRunner::step), with the
-/// identical contract — the batch is whatever slice the caller assembled,
-/// composition may change freely between calls, and every lane's
-/// trajectory is bit-exact against running it alone.
+/// A stepping engine over a plan. The required methods are the engine's
+/// one state-feedback loop: a fixed set of lanes whose recurrent state
+/// stays resident in the engine's execution format (`f32` columns, bit
+/// planes) between [`advance`](Runner::advance) calls, with [`BitTensor`]
+/// the only type crossing the boundary. Run-to-completion jobs use exactly
+/// that ([`RaggedBatch`]).
+///
+/// The provided methods derive resumable [`Session`] stepping from the
+/// loop, once for every engine: the batch is whatever slice the caller
+/// assembled, composition may change freely between calls, and every
+/// lane's trajectory is bit-exact against running it alone. They replace
+/// the resident state, so do not interleave them with a resident run.
 pub trait Runner {
-    /// Advance every session one clock cycle in lockstep; returns the
-    /// primary outputs per lane. Shape errors are typed and identical
-    /// across backends (enforced by the conformance suite).
-    fn step(
-        &mut self,
-        sessions: &mut [Session<f32>],
-        inputs: &[Vec<bool>],
-    ) -> Result<Vec<Vec<bool>>, SimError>;
+    /// Port widths and depth of the network this runner steps.
+    fn shape(&self) -> StepShape;
 
-    /// Packed twin of [`step`](Runner::step): inputs arrive as feature-major
-    /// bit planes (`num_primary_inputs × sessions.len()`) and outputs come
-    /// back packed (`num_primary_outputs × sessions.len()`, ragged tails
-    /// zeroed). The default unpacks to lanes and repacks, so every backend
-    /// keeps the identical contract; backends with a native packed path
-    /// (bit-plane) override it to skip the `Vec<bool>` round-trip.
+    /// Put `lanes` lanes at the power-on state.
+    fn reset(&mut self, lanes: usize);
+
+    /// One clock for every resident lane: `x` is `inputs × lanes`, the
+    /// outputs land in `y` (`outputs × lanes`, resized in place, ragged
+    /// tails zero). Shape errors are typed and identical across backends.
+    fn advance(&mut self, x: &BitTensor, y: &mut BitTensor) -> Result<(), SimError>;
+
+    /// Copy the resident state out as `state × lanes` planes.
+    fn read_state(&self, planes: &mut BitTensor);
+
+    /// Replace the resident state (and lane count) with `planes`.
+    fn write_state(&mut self, planes: &BitTensor);
+
+    /// Advance every session one clock cycle in lockstep: inputs arrive as
+    /// feature-major bit planes (`inputs × sessions.len()`) and outputs
+    /// come back packed (`outputs × sessions.len()`, ragged tails zeroed).
     fn step_planes(
         &mut self,
         sessions: &mut [Session<f32>],
         inputs: &BitTensor,
     ) -> Result<BitTensor, SimError> {
-        let outs = self.step(sessions, &inputs.to_lanes())?;
-        Ok(BitTensor::from_lanes(&outs))
+        let shape = self.shape();
+        shape.check_inputs(sessions.len(), inputs.batch(), [inputs.features()])?;
+        if let Some(foreign) = sessions.iter().find(|s| s.width() != shape.state) {
+            return Err(SimError::StateWidth {
+                expected: shape.state,
+                got: foreign.width(),
+            });
+        }
+        let mut outputs = BitTensor::zeros(shape.outputs, sessions.len());
+        if sessions.is_empty() {
+            return Ok(outputs);
+        }
+        let mut state = BitTensor::zeros(0, 0);
+        Session::gather(sessions, &mut state);
+        self.write_state(&state);
+        self.advance(inputs, &mut outputs)?;
+        self.read_state(&mut state);
+        Session::scatter(sessions, &state);
+        Ok(outputs)
+    }
+
+    /// [`step_planes`](Runner::step_planes) on per-lane bit vectors:
+    /// `sessions[l]` consumes `inputs[l]` (primary-input bits, LSB-first);
+    /// returns the primary outputs per lane.
+    fn step(
+        &mut self,
+        sessions: &mut [Session<f32>],
+        inputs: &[Vec<bool>],
+    ) -> Result<Vec<Vec<bool>>, SimError> {
+        // ragged or mis-sized lanes must fail typed before they are packed
+        let shape = self.shape();
+        shape.check_inputs(sessions.len(), inputs.len(), inputs.iter().map(Vec::len))?;
+        let planes = match inputs {
+            [] => BitTensor::zeros(shape.inputs, 0),
+            lanes => BitTensor::from_lanes(lanes),
+        };
+        Ok(self.step_planes(sessions, &planes)?.to_lanes())
     }
 }
 
@@ -139,39 +190,29 @@ pub trait Plan: Send + Sync {
     /// interchangeable).
     fn nn(&self) -> &Arc<CompiledNn<f32>>;
 
-    /// Manufacture a fresh resumable runner over this plan. Runners are
-    /// cheap (scratch buffers only) — the serve scheduler builds one per
-    /// batcher thread and rebuilds after a poisoned batch.
+    /// Manufacture a fresh runner over this plan. Runners are cheap
+    /// (scratch buffers only) — the serve scheduler builds one per batcher
+    /// thread and rebuilds after a poisoned batch.
     fn runner(&self) -> Box<dyn Runner + '_>;
 
-    /// Run a set of ragged testbenches to completion: one runner, one
-    /// forward pass per cycle across all lanes; shorter testbenches idle
-    /// with zero inputs until the longest finishes, and their recorded
-    /// outputs stop at their own length (the same contract as
-    /// [`c2nn_core::run_batch`]).
+    /// Run a set of ragged testbenches to completion: one runner, reset
+    /// once, one forward pass per cycle across all lanes; shorter
+    /// testbenches idle with zero inputs until the longest finishes, and
+    /// their recorded outputs stop at their own length (the same contract
+    /// as [`c2nn_core::run_batch`]).
     fn execute_batch(&self, stims: &[Stimulus]) -> Result<Vec<BenchResult>, SimError> {
-        let nn = self.nn();
-        let pi = nn.num_primary_inputs;
         let mut runner = self.runner();
-        let mut sessions: Vec<Session<f32>> = stims.iter().map(|_| Session::new(nn)).collect();
-        let max_cycles = stims.iter().map(|s| s.cycles.len()).max().unwrap_or(0);
-        let mut results: Vec<BenchResult> = stims
-            .iter()
-            .map(|_| BenchResult { cycles: Vec::new() })
-            .collect();
-        for c in 0..max_cycles {
-            let inputs: Vec<Vec<bool>> = stims
-                .iter()
-                .map(|s| s.cycles.get(c).cloned().unwrap_or_else(|| vec![false; pi]))
-                .collect();
-            let outs = runner.step(&mut sessions, &inputs)?;
-            for (lane, stim) in stims.iter().enumerate() {
-                if c < stim.cycles.len() {
-                    results[lane].cycles.push(outs[lane].clone());
-                }
-            }
+        let benches = stims.iter().map(|s| Testbench::Lanes(&s.cycles)).collect();
+        let mut run = RaggedBatch::start(runner.as_mut(), benches)?;
+        while !run.done() {
+            run.step()?;
         }
-        Ok(results)
+        let results = run.finish().into_iter();
+        Ok(results
+            .map(|out| BenchResult {
+                cycles: out.into_lanes(),
+            })
+            .collect())
     }
 }
 

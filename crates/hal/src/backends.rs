@@ -9,44 +9,49 @@
 //!   [`c2nn_core::bitplane`]). Requires exact integral weights; refuses
 //!   admission otherwise.
 //!
-//! All three step the same [`Session`](c2nn_core::Session) bookkeeping
-//! with bit-exact semantics — the shared conformance suite
-//! ([`crate::conformance`]) holds them to it.
+//! All three run the same [`Runner`] contract with bit-exact semantics —
+//! the shared conformance suite ([`crate::conformance`]) holds them to it.
+//! A runner *is* the engine's fixed-batch simulator: `Simulator<f32>` for
+//! the CSR backends, `BitplaneSimulator` for the packed one.
 
 use crate::backend::{Backend, Manifest, Plan, Reject, RowClassCount, Runner};
-use c2nn_core::bitplane::{BitplaneNn, BitplaneRunner};
-use c2nn_core::{BitTensor, CompileOptions, CompiledNn, PassId, Session, SessionRunner, SimError};
+use c2nn_core::bitplane::BitplaneNn;
+use c2nn_core::{
+    BitTensor, BitplaneSimulator, CompileOptions, CompiledNn, PassId, SimError, Simulator,
+    StepShape,
+};
 use c2nn_tensor::Device;
 use std::sync::Arc;
 
-impl Runner for SessionRunner<'_, f32> {
-    fn step(
-        &mut self,
-        sessions: &mut [Session<f32>],
-        inputs: &[Vec<bool>],
-    ) -> Result<Vec<Vec<bool>>, SimError> {
-        SessionRunner::step(self, sessions, inputs)
-    }
+/// Both engines expose the loop under the same inherent names.
+macro_rules! impl_runner {
+    ($engine:ty) => {
+        impl Runner for $engine {
+            fn shape(&self) -> StepShape {
+                <$engine>::shape(self)
+            }
+
+            fn reset(&mut self, lanes: usize) {
+                <$engine>::reset(self, lanes)
+            }
+
+            fn advance(&mut self, x: &BitTensor, y: &mut BitTensor) -> Result<(), SimError> {
+                self.step_packed_into(x, y)
+            }
+
+            fn read_state(&self, planes: &mut BitTensor) {
+                <$engine>::read_state(self, planes)
+            }
+
+            fn write_state(&mut self, planes: &BitTensor) {
+                <$engine>::write_state(self, planes)
+            }
+        }
+    };
 }
 
-impl Runner for BitplaneRunner<'_, f32> {
-    fn step(
-        &mut self,
-        sessions: &mut [Session<f32>],
-        inputs: &[Vec<bool>],
-    ) -> Result<Vec<Vec<bool>>, SimError> {
-        BitplaneRunner::step(self, sessions, inputs)
-    }
-
-    fn step_planes(
-        &mut self,
-        sessions: &mut [Session<f32>],
-        inputs: &BitTensor,
-    ) -> Result<BitTensor, SimError> {
-        // native packed path: word-wise plane copy in, packed planes out
-        BitplaneRunner::step_planes(self, sessions, inputs)
-    }
-}
+impl_runner!(Simulator<'_, f32>);
+impl_runner!(BitplaneSimulator<'_>);
 
 /// A CSR-lane backend: `scalar` (serial) or `pooled-csr` (worker pool).
 pub struct CsrBackend {
@@ -93,7 +98,7 @@ impl Plan for CsrPlan {
     }
 
     fn runner(&self) -> Box<dyn Runner + '_> {
-        Box::new(SessionRunner::new(&self.nn, self.device))
+        Box::new(Simulator::new(&self.nn, 0, self.device))
     }
 }
 
@@ -152,7 +157,7 @@ impl Plan for BitplanePlan {
     }
 
     fn runner(&self) -> Box<dyn Runner + '_> {
-        Box::new(BitplaneRunner::<f32>::new(&self.program, Device::Parallel))
+        Box::new(BitplaneSimulator::new(&self.program, 0, Device::Parallel))
     }
 }
 

@@ -20,7 +20,7 @@
 use crate::backend::Plan;
 use crate::cost::{BackendCalibration, DeviceCalibration};
 use crate::registry::BackendRegistry;
-use c2nn_core::{compile, CompileOptions, CompiledNn, PassSet, Session};
+use c2nn_core::{compile, BitTensor, CompileOptions, CompiledNn, PassSet};
 use c2nn_netlist::Netlist;
 use std::sync::Arc;
 use std::time::Instant;
@@ -77,15 +77,15 @@ fn workloads() -> Vec<(&'static str, Netlist)> {
 /// Measured seconds per lockstep cycle for one plan at one batch width,
 /// repeated until the sample is long enough to trust the clock.
 fn time_cycle(plan: &dyn Plan, batch: usize, quick: bool) -> f64 {
-    let nn = plan.nn();
-    let pi = nn.num_primary_inputs;
+    let pi = plan.nn().num_primary_inputs;
     let mut rng = Lcg(0xca11b ^ batch as u64);
-    let inputs = rng.lanes(batch, pi);
-    let mut sessions: Vec<Session<f32>> = (0..batch).map(|_| Session::new(nn)).collect();
+    let inputs = BitTensor::from_lanes(&rng.lanes(batch, pi));
+    let mut outputs = BitTensor::zeros(0, 0);
     let mut runner = plan.runner();
+    runner.reset(batch);
     // warm caches and allocation paths before the clock starts
     runner
-        .step(&mut sessions, &inputs)
+        .advance(&inputs, &mut outputs)
         .expect("calibration workload must step");
     let (chunk, min_elapsed, max_rounds) = if quick { (4, 0.002, 3) } else { (16, 0.010, 8) };
     let mut cycles = 0u64;
@@ -93,7 +93,7 @@ fn time_cycle(plan: &dyn Plan, batch: usize, quick: bool) -> f64 {
     loop {
         for _ in 0..chunk {
             runner
-                .step(&mut sessions, &inputs)
+                .advance(&inputs, &mut outputs)
                 .expect("calibration workload must step");
         }
         cycles += chunk as u64;

@@ -8,8 +8,10 @@
 //! * [`Backend`] / [`Plan`] / [`Runner`] — the contract ([`backend`]):
 //!   a backend *admits* a compiled network (fallibly, with a typed
 //!   [`Reject`]) into a [`Plan`] carrying a capabilities [`Manifest`];
-//!   plans manufacture resumable runners with the exact
-//!   `SessionRunner::step` semantics.
+//!   plans manufacture runners — one engine each, state resident between
+//!   cycles, `Session` stepping derived from that loop once.
+//! * [`RaggedBatch`] ([`ragged`]) — the run-to-completion driver behind
+//!   [`Plan::execute_batch`] and the serve scheduler.
 //! * [`backends`] — the three built-in engines: `scalar`, `pooled-csr`,
 //!   and `bitplane`.
 //! * [`BackendRegistry`] ([`registry`]) — ordered name → backend map with
@@ -26,10 +28,12 @@ pub mod backends;
 pub mod calibrate;
 pub mod conformance;
 pub mod cost;
+pub mod ragged;
 pub mod registry;
 
 pub use backend::{Backend, Manifest, Plan, Reject, RowClassCount, Runner};
 pub use backends::{BitplaneBackend, CsrBackend};
 pub use calibrate::{calibrate, CalibrateOptions};
 pub use cost::{BackendCalibration, DeviceCalibration, DeviceModel};
+pub use ragged::{RaggedBatch, SimOutput, Testbench};
 pub use registry::{BackendRegistry, Candidate, Choice, SelectError, Selection};

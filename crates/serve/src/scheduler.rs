@@ -44,8 +44,10 @@ use crate::admission::{Admission, Pressure};
 use crate::chaos::Chaos;
 use crate::protocol::ModelStatsReport;
 use crate::stats::ModelCounters;
-use c2nn_core::{BitTensor, CompiledNn, Session, Stimulus};
-use c2nn_hal::{BackendRegistry, Choice, DeviceCalibration, Plan, Runner, Selection};
+use c2nn_core::{BitTensor, CompiledNn, Stimulus};
+use c2nn_hal::{
+    BackendRegistry, Choice, DeviceCalibration, Plan, RaggedBatch, Runner, Selection, Testbench,
+};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -96,9 +98,14 @@ pub enum StimData {
 impl StimData {
     /// Number of stimulus cycles.
     pub fn num_cycles(&self) -> usize {
+        self.testbench().num_cycles()
+    }
+
+    /// Borrow in the shape the ragged driver reads.
+    fn testbench(&self) -> Testbench<'_> {
         match self {
-            StimData::Lanes(s) => s.cycles.len(),
-            StimData::Packed(bt) => bt.batch(),
+            StimData::Lanes(s) => Testbench::Lanes(&s.cycles),
+            StimData::Packed(bt) => Testbench::Packed(bt),
         }
     }
 }
@@ -119,31 +126,7 @@ impl From<BitTensor> for StimData {
 /// per-cycle primary-output bit vectors for [`StimData::Lanes`] jobs,
 /// packed bit planes (`features` = primary outputs, `batch` = cycles,
 /// ragged tails zero) for [`StimData::Packed`] jobs.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SimOutput {
-    /// `outputs[c][j]` = primary output `j` at cycle `c` (LSB-first).
-    Lanes(Vec<Vec<bool>>),
-    /// Feature-major output bit planes.
-    Packed(BitTensor),
-}
-
-impl SimOutput {
-    /// Number of simulated cycles.
-    pub fn num_cycles(&self) -> usize {
-        match self {
-            SimOutput::Lanes(v) => v.len(),
-            SimOutput::Packed(bt) => bt.batch(),
-        }
-    }
-
-    /// Per-cycle output bit vectors, converting packed planes if needed.
-    pub fn lanes(&self) -> Vec<Vec<bool>> {
-        match self {
-            SimOutput::Lanes(v) => v.clone(),
-            SimOutput::Packed(bt) => bt.to_lanes(),
-        }
-    }
-}
+pub use c2nn_hal::SimOutput;
 
 /// Why a submitted job did not produce outputs. Every variant maps to a
 /// typed wire reply — overload and failure are contracts, not strings.
@@ -309,8 +292,9 @@ impl ServedModel {
     }
 
     /// Enqueue one testbench (already width-checked against
-    /// `nn.num_primary_inputs`) and return the channel its result will
-    /// arrive on. The caller blocks on `recv()` for as long as it likes —
+    /// `nn.num_primary_inputs` — the batch driver refuses a wrong-width
+    /// stimulus typed, failing the batch it was coalesced into) and return
+    /// the channel its result will arrive on. The caller blocks on `recv()` for as long as it likes —
     /// or drops the receiver to abandon the request. A `deadline` in the
     /// past is legal: the scheduler sheds the lane with a typed reply.
     pub fn submit(
@@ -413,7 +397,7 @@ fn batch_loop(
         if live.is_empty() {
             continue;
         }
-        let poisoned = run_coalesced(runner.as_mut(), plan.nn(), stats, live, chaos);
+        let poisoned = run_coalesced(runner.as_mut(), stats, live, chaos);
         if poisoned {
             // a panic mid-pass may have left the runner's scratch state
             // inconsistent; rebuild it from the plan (cheap relative to a
@@ -432,130 +416,71 @@ fn finish_job(stats: &ModelCounters, job: SimJob, reply: Result<SimOutput, SimFa
     job.reply.send(reply);
 }
 
-/// Per-lane result accumulator: the reply shape follows the stimulus
-/// shape, so packed jobs never materialize per-cycle `Vec<bool>`s.
-enum Acc {
-    Lanes(Vec<Vec<bool>>),
-    Packed(BitTensor),
-}
-
 /// Execute one coalesced batch and scatter results. Every job gets a reply
 /// (success or typed failure). Returns `true` if a panic poisoned the
 /// runner and it must be rebuilt.
 ///
-/// The batch's dataflow is packed end to end: each cycle's inputs are
-/// assembled into one reused `primary_inputs × lanes` [`BitTensor`] (bit
-/// transfers from packed stimuli, bit sets from parsed lanes) and stepped
-/// through [`Runner::step_planes`] — the bit-plane backend consumes the
-/// planes word-wise with no `Vec<bool>` in between, while lane backends
-/// fall back to the default unpack inside their `step_planes`.
+/// The lane set is fixed for the batch's lifetime, so this is a
+/// [`RaggedBatch`] run on the batcher's runner: reset once, one
+/// [`Runner::advance`] per cycle, state resident in the engine. What is
+/// left here is the scheduler's own: panic containment, the chaos hook
+/// and the replies.
 fn run_coalesced(
     runner: &mut (dyn Runner + '_),
-    nn: &CompiledNn<f32>,
     stats: &ModelCounters,
     jobs: Vec<SimJob>,
     chaos: Option<&Chaos>,
 ) -> bool {
-    let lanes = jobs.len();
     stats.batches.fetch_add(1, Ordering::Relaxed);
-    stats.lanes.fetch_add(lanes as u64, Ordering::Relaxed);
+    stats.lanes.fetch_add(jobs.len() as u64, Ordering::Relaxed);
 
-    let pi = nn.num_primary_inputs;
-    let po = nn.num_primary_outputs;
-    let max_cycles = jobs.iter().map(|j| j.stim.num_cycles()).max().unwrap_or(0);
-    let mut sessions: Vec<Session<f32>> = jobs.iter().map(|_| Session::new(nn)).collect();
-    let mut results: Vec<Acc> = jobs
-        .iter()
-        .map(|j| match &j.stim {
-            StimData::Lanes(_) => Acc::Lanes(Vec::new()),
-            StimData::Packed(bt) => Acc::Packed(BitTensor::zeros(po, bt.batch())),
-        })
-        .collect();
-    let mut failure: Option<SimFailure> = None;
-    let mut poisoned = false;
     let inject_panic = chaos.is_some_and(Chaos::take_worker_panic);
-    // one reused per-cycle input tensor; short testbenches idle with zero
-    // inputs until the batch finishes
-    let mut x = BitTensor::zeros(pi, lanes);
-    for c in 0..max_cycles {
-        x.data_mut().fill(0);
-        for (l, job) in jobs.iter().enumerate() {
-            match &job.stim {
-                StimData::Lanes(stim) => {
-                    if let Some(cyc) = stim.cycles.get(c) {
-                        for (f, &bit) in cyc.iter().enumerate().take(pi) {
-                            if bit {
-                                x.set_bit(f, l, true);
-                            }
-                        }
-                    }
+    let mut poisoned = false;
+    let benches = jobs.iter().map(|j| j.stim.testbench()).collect();
+    let outcome = match RaggedBatch::start(runner, benches) {
+        Err(e) => Err(SimFailure::Failed(e.to_string())),
+        Ok(mut run) => loop {
+            if run.done() {
+                break Ok(run.finish());
+            }
+            let c = run.cycle();
+            // the forward pass may panic (a pool worker dying, injected or
+            // real); contain it to this batch — the batcher must outlive
+            // any single batch's failure
+            let step = catch_unwind(AssertUnwindSafe(|| {
+                if c == 0 && inject_panic {
+                    c2nn_tensor::Pool::global().inject_worker_panic();
                 }
-                StimData::Packed(bt) => {
-                    if c < bt.batch() {
-                        for f in 0..pi.min(bt.features()) {
-                            if bt.get_bit(f, c) {
-                                x.set_bit(f, l, true);
-                            }
-                        }
-                    }
+                run.step()
+            }));
+            match step {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => break Err(SimFailure::Failed(e.to_string())),
+                Err(payload) => {
+                    let what = payload
+                        .downcast_ref::<&str>()
+                        .map(|s| (*s).to_string())
+                        .or_else(|| payload.downcast_ref::<String>().cloned())
+                        .unwrap_or_else(|| "worker panicked".to_string());
+                    poisoned = true;
+                    break Err(SimFailure::Failed(format!(
+                        "forward pass panicked at cycle {c}: {what} (pool self-heals; retry)"
+                    )));
                 }
+            }
+        },
+    };
+    match outcome {
+        Ok(outputs) => {
+            for (job, out) in jobs.into_iter().zip(outputs) {
+                finish_job(stats, job, Ok(out));
             }
         }
-        // the forward pass may panic (a pool worker dying, injected or
-        // real); contain it to this batch — the batcher must outlive any
-        // single batch's failure
-        let step = catch_unwind(AssertUnwindSafe(|| {
-            if c == 0 && inject_panic {
-                c2nn_tensor::Pool::global().inject_worker_panic();
-            }
-            runner.step_planes(&mut sessions, &x)
-        }));
-        match step {
-            Ok(Ok(y)) => {
-                for (l, job) in jobs.iter().enumerate() {
-                    if c < job.stim.num_cycles() {
-                        match &mut results[l] {
-                            Acc::Lanes(v) => {
-                                v.push((0..po).map(|f| y.get_bit(f, l)).collect());
-                            }
-                            Acc::Packed(out) => {
-                                for f in 0..po {
-                                    if y.get_bit(f, l) {
-                                        out.set_bit(f, c, true);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            Ok(Err(e)) => {
-                failure = Some(SimFailure::Failed(e.to_string()));
-                break;
-            }
-            Err(payload) => {
-                let what = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| (*s).to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "worker panicked".to_string());
-                failure = Some(SimFailure::Failed(format!(
-                    "forward pass panicked at cycle {c}: {what} (pool self-heals; retry)"
-                )));
-                poisoned = true;
-                break;
+        Err(failure) => {
+            for job in jobs {
+                finish_job(stats, job, Err(failure.clone()));
             }
         }
-    }
-    for (job, result) in jobs.into_iter().zip(results) {
-        let reply = match &failure {
-            Some(f) => Err(f.clone()),
-            None => Ok(match result {
-                Acc::Lanes(v) => SimOutput::Lanes(v),
-                Acc::Packed(bt) => SimOutput::Packed(bt),
-            }),
-        };
-        finish_job(stats, job, reply);
     }
     poisoned
 }
@@ -796,6 +721,38 @@ mod tests {
             "both shapes are bit-exact"
         );
         assert_eq!(counter_vals(&out_packed), vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn wrong_width_stimulus_fails_typed_instead_of_being_truncated() {
+        for backend in BackendRegistry::global().names() {
+            let model = ServedModel::spawn_standalone(
+                "ctr",
+                counter_nn(),
+                BatchConfig {
+                    max_batch: 4,
+                    max_wait: Duration::from_millis(1),
+                    backend: named(backend),
+                },
+            );
+            // the counter has one input; both shapes carry two
+            let wide = parse_stim("11 x3\n", 2).unwrap();
+            for stim in [
+                StimData::from(BitTensor::from_lanes(&wide.cycles)),
+                StimData::from(wide),
+            ] {
+                match model.submit(stim, None).recv().unwrap() {
+                    Err(SimFailure::Failed(msg)) => assert!(
+                        msg.contains("input width mismatch: network expects 1, got 2"),
+                        "{backend}: {msg}"
+                    ),
+                    other => panic!("{backend}: expected a typed failure, got {other:?}"),
+                }
+            }
+            // the batcher is unharmed
+            let rx = model.submit(parse_stim("1 x3\n", 1).unwrap(), None);
+            assert_eq!(counter_vals(&rx.recv().unwrap().unwrap()), vec![0, 1, 2]);
+        }
     }
 
     #[test]

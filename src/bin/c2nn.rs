@@ -22,7 +22,7 @@ fn usage() -> ! {
          c2nn stats   <file.v|.blif> --top <module> [--l <n>] [--wide] [--passes <list>] [--stats]\n  \
          (--passes: all | none | comma list of fold,cse,dce,merge)\n  \
          c2nn sim     <model.json> --cycles <n> [--batch <n>] [--backend <name>|auto] [--guard]\n  \
-         c2nn bench   <model.json> <tb.stim>... (batched testbenches)\n  \
+         c2nn bench   <model.json> <tb.stim>... [--backend <name>|auto] (batched testbenches)\n  \
          c2nn serve   <model.json>... [--addr host:port] [--io auto|threads|epoll] [--wire any|json] [--max-batch <n>] [--max-wait-ms <n>] [--mem-mb <n>] [--max-inflight <n>] [--backend <name>|auto] [--chaos <spec>]\n  \
          c2nn calibrate [--quick] [--out results/DEVICE.json] [--check <path>]\n  \
          (--chaos: seed=<n>,worker_panic=<p>,worker_panic_budget=<n>,stall=<p>,stall_ms=<n>,stall_budget=<n>)\n  \
@@ -102,6 +102,36 @@ fn load_calibration() -> c2nn::hal::DeviceCalibration {
             c2nn::hal::DeviceCalibration::default_host(c2nn::tensor::Pool::global().threads())
         }
     }
+}
+
+/// Resolve `--backend` for a run of `lanes` testbenches against the
+/// calibration on disk and say which engine won — the one path `sim` and
+/// `bench` both take to an admitted plan.
+fn select_backend(
+    file: &str,
+    nn: CompiledNn<f32>,
+    choice: &c2nn::hal::Choice,
+    lanes: usize,
+) -> c2nn::hal::Selection {
+    let selection = c2nn::hal::BackendRegistry::global()
+        .select(&std::sync::Arc::new(nn), choice, &load_calibration(), lanes)
+        .unwrap_or_else(|e| {
+            eprintln!("{file}: {e}");
+            exit(1)
+        });
+    println!(
+        "backend   : {}{}",
+        selection.backend,
+        if selection.auto {
+            " (selected by cost model)"
+        } else {
+            ""
+        }
+    );
+    if let Some(cps) = selection.predicted_lane_cps {
+        println!("predicted : {cps:.3e} lane-cycles/s");
+    }
+    selection
 }
 
 /// Load and validate a model file, turning every defect — unreadable file,
@@ -195,9 +225,14 @@ fn main() {
         "bench" => {
             // c2nn bench <model.json> <tb1.stim> [<tb2.stim> ...]
             let file = args.get(1).unwrap_or_else(|| usage());
+            let choice = backend_flag(&args);
             let nn = load_model(file);
-            let tb_files: Vec<&String> =
-                args[2..].iter().filter(|a| !a.starts_with("--")).collect();
+            // everything after the model that is neither a flag nor the
+            // value of `--backend` is a testbench
+            let tb_files: Vec<&String> = (2..args.len())
+                .filter(|&i| !args[i].starts_with("--") && args[i - 1] != "--backend")
+                .map(|i| &args[i])
+                .collect();
             if tb_files.is_empty() {
                 eprintln!("no .stim testbenches given");
                 exit(2)
@@ -215,8 +250,12 @@ fn main() {
                     })
                 })
                 .collect();
+            let selection = select_backend(file, nn, &choice, benches.len());
             let t0 = std::time::Instant::now();
-            let results = c2nn::core::run_batch(&nn, &benches, Device::Serial);
+            let results = selection.plan.execute_batch(&benches).unwrap_or_else(|e| {
+                eprintln!("simulation failed: {e}");
+                exit(1)
+            });
             let dt = t0.elapsed().as_secs_f64();
             let total_cycles: usize = benches.iter().map(|b| b.cycles.len()).sum();
             println!(
@@ -274,26 +313,8 @@ fn main() {
                 }
                 return;
             }
-            let calibration = load_calibration();
-            let nn = std::sync::Arc::new(nn);
-            let selection = c2nn::hal::BackendRegistry::global()
-                .select(&nn, &choice, &calibration, batch)
-                .unwrap_or_else(|e| {
-                    eprintln!("{file}: {e}");
-                    exit(1)
-                });
-            println!(
-                "backend   : {}{}",
-                selection.backend,
-                if selection.auto {
-                    " (selected by cost model)"
-                } else {
-                    ""
-                }
-            );
-            if let Some(cps) = selection.predicted_lane_cps {
-                println!("predicted : {cps:.3e} lane-cycles/s");
-            }
+            let selection = select_backend(file, nn, &choice, batch);
+            let nn = selection.plan.nn();
             let stim = c2nn::core::Stimulus {
                 cycles: vec![vec![false; nn.num_primary_inputs]; cycles as usize],
             };

@@ -1,0 +1,339 @@
+//! The state-feedback loop, held to the reference through every way of
+//! driving it: for every registered backend × {UART, a generated FSM with
+//! init-true flip-flops} × lane counts on both sides of a word boundary,
+//!
+//! * ragged `Plan::execute_batch` (state resident in the engine) is
+//!   bit-exact against `refsim::CycleSim`, lane by lane;
+//! * sessions joined, parked, reordered and dropped mid-stream through
+//!   `Runner::step_planes` follow the same reference, and end in the state
+//!   the lane reaches when it runs alone;
+//! * `Runner::step` and `Runner::step_planes` are the same function;
+//! * shape errors are typed, identical on every backend, and leave the
+//!   sessions untouched.
+//!
+//! Fixed seeds throughout: a failure names its backend, circuit, lane
+//! count and lane.
+
+use c2nn::core::{compile, BitTensor, CompileOptions, CompiledNn, Session, SimError, Stimulus};
+use c2nn::hal::{Backend, BackendRegistry, Plan};
+use c2nn::netlist::Netlist;
+use c2nn::refsim::CycleSim;
+use std::sync::Arc;
+
+const LANE_COUNTS: [usize; 4] = [1, 63, 65, 130];
+
+struct Lcg(u64);
+
+impl Lcg {
+    fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    fn rows(&mut self, cycles: usize, width: usize) -> Vec<Vec<bool>> {
+        (0..cycles)
+            .map(|_| (0..width).map(|_| self.next() & 1 == 1).collect())
+            .collect()
+    }
+}
+
+fn circuits() -> Vec<(&'static str, Netlist)> {
+    vec![
+        ("uart", c2nn::circuits::uart()),
+        (
+            "fsm",
+            c2nn::circuits::generators::random_fsm(3, 10, 60, 6, 0x7a11),
+        ),
+    ]
+}
+
+/// One circuit admitted on one backend.
+struct Case {
+    tag: String,
+    nl: Netlist,
+    nn: Arc<CompiledNn<f32>>,
+    plan: Arc<dyn Plan>,
+}
+
+/// Every registered backend with each circuit admitted on it, compiled
+/// the way that backend asks for.
+fn admitted() -> Vec<Case> {
+    let registry = BackendRegistry::global();
+    let mut out = Vec::new();
+    for name in registry.names() {
+        let backend: &Arc<dyn Backend> = registry.get(name).unwrap();
+        for (cname, nl) in circuits() {
+            let opts = backend.compile_options(CompileOptions::with_l(4));
+            let nn = Arc::new(compile(&nl, opts).unwrap());
+            if cname == "fsm" {
+                assert!(nn.state_init.contains(&true), "fsm needs an init-true flop");
+            }
+            let plan = backend.admit(&nn).unwrap();
+            let tag = format!("{name}/{cname}");
+            out.push(Case { tag, nl, nn, plan });
+        }
+    }
+    out
+}
+
+fn reference(nl: &Netlist, stim: &[Vec<bool>]) -> Vec<Vec<bool>> {
+    CycleSim::new(nl).unwrap().run(stim)
+}
+
+#[test]
+fn ragged_execute_batch_is_bit_exact_against_refsim() {
+    for Case { tag, nl, nn, plan } in admitted() {
+        for lanes in LANE_COUNTS {
+            let mut rng = Lcg(0xe8ec ^ lanes as u64);
+            // ragged lengths, including an empty testbench when there is
+            // room for one
+            let stims: Vec<Stimulus> = (0..lanes)
+                .map(|l| {
+                    let len = if l == 1 {
+                        0
+                    } else {
+                        1 + rng.next() as usize % 9
+                    };
+                    Stimulus {
+                        cycles: rng.rows(len, nn.num_primary_inputs),
+                    }
+                })
+                .collect();
+            let got = plan.execute_batch(&stims).unwrap();
+            assert_eq!(got.len(), lanes, "{tag} × {lanes}");
+            for (l, (g, s)) in got.iter().zip(&stims).enumerate() {
+                assert_eq!(
+                    g.cycles,
+                    reference(&nl, &s.cycles),
+                    "{tag} × {lanes}: lane {l} diverged from refsim"
+                );
+            }
+        }
+        assert!(plan.execute_batch(&[]).unwrap().is_empty(), "{tag}");
+    }
+}
+
+/// When lane `l` is in the batch: it joins at tick `join`, sits out the
+/// ticks in `parked`, and is dropped for good once it has consumed `drop`
+/// cycles of its stimulus.
+struct Schedule {
+    join: usize,
+    parked: std::ops::Range<usize>,
+    drop: usize,
+}
+
+#[test]
+fn recomposed_sessions_follow_the_reference_and_step_equals_step_planes() {
+    const CYCLES: usize = 8;
+    for Case { tag, nl, nn, plan } in admitted() {
+        let pi = nn.num_primary_inputs;
+        for lanes in LANE_COUNTS {
+            let tag = format!("{tag} × {lanes}");
+            let mut rng = Lcg(0x5e55 ^ lanes as u64);
+            let stims: Vec<Vec<Vec<bool>>> = (0..lanes).map(|_| rng.rows(CYCLES, pi)).collect();
+            let plans: Vec<Schedule> = (0..lanes)
+                .map(|_| {
+                    let park = rng.next() as usize % 6;
+                    Schedule {
+                        join: rng.next() as usize % 3,
+                        parked: park..park + rng.next() as usize % 3,
+                        drop: if rng.next() & 3 == 0 { 3 } else { CYCLES },
+                    }
+                })
+                .collect();
+
+            let mut runner = plan.runner();
+            let mut twin = plan.runner();
+            let mut parked: Vec<Option<Session<f32>>> =
+                (0..lanes).map(|_| Some(Session::new(&nn))).collect();
+            let mut outputs: Vec<Vec<Vec<bool>>> = vec![Vec::new(); lanes];
+            for tick in 0..CYCLES + 6 {
+                let mut active: Vec<usize> = (0..lanes)
+                    .filter(|&l| {
+                        let done = parked[l].as_ref().unwrap().cycles() as usize;
+                        tick >= plans[l].join
+                            && !plans[l].parked.contains(&tick)
+                            && done < plans[l].drop
+                    })
+                    .collect();
+                if active.is_empty() {
+                    continue;
+                }
+                // lane order in the batch is not the lanes' identity
+                let pivot = tick % active.len();
+                active.rotate_left(pivot);
+                let mut batch: Vec<Session<f32>> =
+                    active.iter().map(|&l| parked[l].take().unwrap()).collect();
+                let rows: Vec<Vec<bool>> = active
+                    .iter()
+                    .zip(&batch)
+                    .map(|(&l, s)| stims[l][s.cycles() as usize].clone())
+                    .collect();
+
+                let mut batch_twin = batch.clone();
+                let by_lanes = twin.step(&mut batch_twin, &rows).unwrap();
+                let planes = BitTensor::from_lanes(&rows);
+                let by_planes = runner.step_planes(&mut batch, &planes).unwrap();
+                assert_eq!(by_planes.to_lanes(), by_lanes, "{tag}: tick {tick}");
+                assert_eq!(
+                    (by_planes.features(), by_planes.batch()),
+                    (nn.num_primary_outputs, active.len())
+                );
+                assert_eq!(
+                    by_planes,
+                    BitTensor::from_lanes(&by_planes.to_lanes()),
+                    "{tag}: non-canonical output planes at tick {tick}"
+                );
+                assert_eq!(batch, batch_twin, "{tag}: sessions at tick {tick}");
+
+                for ((l, sess), out) in active.into_iter().zip(batch).zip(by_lanes) {
+                    outputs[l].push(out);
+                    parked[l] = Some(sess);
+                }
+            }
+
+            for l in 0..lanes {
+                let sess = parked[l].as_ref().unwrap();
+                assert_eq!(sess.cycles() as usize, plans[l].drop, "{tag}: lane {l}");
+                assert_eq!(
+                    outputs[l],
+                    reference(&nl, &stims[l][..plans[l].drop]),
+                    "{tag}: lane {l} diverged from refsim"
+                );
+            }
+            // and the state each lane carries is the one it reaches alone
+            for l in [0, lanes / 2, lanes - 1] {
+                let mut alone = [Session::new(&nn)];
+                for row in &stims[l][..plans[l].drop] {
+                    runner.step(&mut alone, std::slice::from_ref(row)).unwrap();
+                }
+                assert_eq!(
+                    parked[l].as_ref().unwrap(),
+                    &alone[0],
+                    "{tag}: lane {l} state"
+                );
+            }
+        }
+    }
+}
+
+fn as_u32(bits: &[bool]) -> u32 {
+    bits.iter().enumerate().map(|(i, &b)| (b as u32) << i).sum()
+}
+
+#[test]
+fn a_late_joiner_counts_from_zero_beside_a_resumed_lane() {
+    let registry = BackendRegistry::global();
+    for name in registry.names() {
+        let backend = registry.get(name).unwrap();
+        let nn = Arc::new(
+            compile(
+                &c2nn::circuits::generators::counter(4),
+                backend.compile_options(CompileOptions::with_l(4)),
+            )
+            .unwrap(),
+        );
+        let plan = backend.admit(&nn).unwrap();
+        let mut runner = plan.runner();
+        // a lone session counts 5 cycles...
+        let mut a = Session::new(&nn);
+        for _ in 0..5 {
+            runner
+                .step(std::slice::from_mut(&mut a), &[vec![true]])
+                .unwrap();
+        }
+        // ...then a newcomer joins and both advance in one batch
+        let mut pair = [a, Session::new(&nn)];
+        let mut last = Vec::new();
+        for _ in 0..3 {
+            last = runner.step(&mut pair, &[vec![true], vec![true]]).unwrap();
+        }
+        // the counter registers its output: the last step shows 7 and 2
+        assert_eq!((as_u32(&last[0]), as_u32(&last[1])), (7, 2), "{name}");
+        let [a, b] = pair;
+        assert_eq!(as_u32(&a.state_bits()), 8, "{name}: resumed lane, 5 + 3");
+        assert_eq!(as_u32(&b.state_bits()), 3, "{name}: late joiner, 3");
+        assert_eq!((a.cycles(), b.cycles()), (8, 3), "{name}");
+    }
+}
+
+#[test]
+fn shape_errors_are_typed_identical_and_leave_sessions_alone() {
+    let registry = BackendRegistry::global();
+    let foreign_nl = c2nn::circuits::generators::counter(3);
+    for name in registry.names() {
+        let backend = registry.get(name).unwrap();
+        let opts = backend.compile_options(CompileOptions::with_l(4));
+        let nn = Arc::new(compile(&c2nn::circuits::uart(), opts).unwrap());
+        let other = compile(&foreign_nl, opts).unwrap();
+        let plan = backend.admit(&nn).unwrap();
+        let (pi, s) = (nn.num_primary_inputs, nn.state_bits());
+        let mut runner = plan.runner();
+        let fresh = vec![Session::new(&nn), Session::new(&nn)];
+        let mut sessions = fresh.clone();
+
+        let batch = SimError::BatchMismatch {
+            expected: 2,
+            got: 1,
+        };
+        let width = SimError::InputWidth {
+            expected: pi,
+            got: pi + 1,
+        };
+        let state = SimError::StateWidth {
+            expected: s,
+            got: other.state_bits(),
+        };
+        assert_eq!(
+            runner.step(&mut sessions, &[vec![false; pi]]),
+            Err(batch.clone()),
+            "{name}"
+        );
+        assert_eq!(
+            runner.step_planes(&mut sessions, &BitTensor::zeros(pi, 1)),
+            Err(batch),
+            "{name}"
+        );
+        // one ragged lane is enough, wherever it sits
+        assert_eq!(
+            runner.step(&mut sessions, &[vec![false; pi], vec![false; pi + 1]]),
+            Err(width.clone()),
+            "{name}"
+        );
+        assert_eq!(
+            runner.step_planes(&mut sessions, &BitTensor::zeros(pi + 1, 2)),
+            Err(width.clone()),
+            "{name}"
+        );
+        let mut mixed = vec![Session::new(&nn), Session::new(&other)];
+        assert_eq!(
+            runner.step(&mut mixed, &vec![vec![false; pi]; 2]),
+            Err(state.clone()),
+            "{name}"
+        );
+        assert_eq!(
+            runner.step_planes(&mut mixed, &BitTensor::zeros(pi, 2)),
+            Err(state),
+            "{name}"
+        );
+        assert_eq!(sessions, fresh, "{name}: a refused step must not advance");
+        assert_eq!(runner.step(&mut [], &[]), Ok(Vec::new()), "{name}");
+
+        // the resident path refuses a wrong-width testbench the same way,
+        // wherever in the run the bad row sits — nothing is truncated
+        let mut stims = vec![
+            Stimulus {
+                cycles: vec![vec![false; pi]; 4],
+            };
+            3
+        ];
+        stims[2].cycles[3].push(true);
+        assert_eq!(plan.execute_batch(&stims).unwrap_err(), width, "{name}");
+        // and the runner is still good for a clean batch afterwards
+        stims[2].cycles[3].pop();
+        assert_eq!(plan.execute_batch(&stims).unwrap().len(), 3, "{name}");
+    }
+}
