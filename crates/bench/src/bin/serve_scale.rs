@@ -6,11 +6,10 @@
 //!
 //! ```text
 //! serve_scale [--levels 1,2,4,8,16,32,64] [--duration-ms N] [--max-wait-ms N]
-//!             [--min-scaling X] [--io auto|threads|epoll] [--out PATH]
+//!             [--min-scaling X] [--out PATH]
 //! ```
 
 use c2nn_bench::serve_scale::run_scale;
-use c2nn_serve::server::IoModel;
 use std::time::Duration;
 
 fn flag<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
@@ -40,7 +39,6 @@ fn main() {
     let duration_ms: u64 = flag(&args, "--duration-ms", 500);
     let max_wait_ms: u64 = flag(&args, "--max-wait-ms", 2);
     let min_scaling: f64 = flag(&args, "--min-scaling", 10.0);
-    let io: IoModel = flag(&args, "--io", IoModel::Auto);
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -49,14 +47,12 @@ fn main() {
         .unwrap_or_else(|| "results/BENCH_serve_scale.json".to_string());
 
     eprintln!(
-        "serve_scale: io {:?}, levels {levels:?}, {duration_ms}ms per level, max_wait {max_wait_ms}ms",
-        io.resolve()
+        "serve_scale: levels {levels:?}, {duration_ms}ms per level, max_wait {max_wait_ms}ms"
     );
     let report = run_scale(
         &levels,
         Duration::from_millis(duration_ms),
         Duration::from_millis(max_wait_ms),
-        io,
     );
 
     std::fs::create_dir_all("results").ok();

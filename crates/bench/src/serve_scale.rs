@@ -16,7 +16,7 @@ use c2nn_hal::Choice;
 use c2nn_serve::client::fetch_metrics;
 use c2nn_serve::metrics::validate_exposition;
 use c2nn_serve::scheduler::BatchConfig;
-use c2nn_serve::server::{spawn_server, IoModel, ServerConfig};
+use c2nn_serve::server::{spawn_server, ServerConfig};
 use c2nn_serve::{ArrivalMode, LoadgenConfig, RegistryConfig, WireFormat};
 use std::time::Duration;
 
@@ -83,7 +83,8 @@ c2nn_json::json_struct!(OverloadProbe {
 /// The full experiment result, as written to `results/BENCH_serve_scale.json`.
 #[derive(Clone, Debug, Default)]
 pub struct ScaleReport {
-    /// I/O model the server ran (`"EventLoop"` or `"Threaded"`).
+    /// Always `"EventLoop"`: the server has one connection driver per
+    /// platform; the key stays so reports diff against older baselines.
     pub io: String,
     /// Coalescing window used, milliseconds.
     pub max_wait_ms: u64,
@@ -114,15 +115,9 @@ c2nn_json::json_struct!(ScaleReport {
 
 /// Run the scaling sweep + overload probe + metrics scrape against a fresh
 /// in-process server.
-pub fn run_scale(
-    levels: &[usize],
-    duration: Duration,
-    max_wait: Duration,
-    io: IoModel,
-) -> ScaleReport {
+pub fn run_scale(levels: &[usize], duration: Duration, max_wait: Duration) -> ScaleReport {
     let server = spawn_server(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        io,
         registry: RegistryConfig {
             byte_budget: usize::MAX,
             batch: BatchConfig {
@@ -176,7 +171,6 @@ pub fn run_scale(
     // a dropped connection
     let budgeted = spawn_server(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        io,
         registry: RegistryConfig {
             byte_budget: usize::MAX,
             batch: BatchConfig {
@@ -235,7 +229,7 @@ pub fn run_scale(
     server.join();
 
     ScaleReport {
-        io: format!("{:?}", io.resolve()),
+        io: "EventLoop".to_string(),
         max_wait_ms: max_wait.as_millis() as u64,
         duration_ms: duration.as_millis() as u64,
         rows,

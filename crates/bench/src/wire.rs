@@ -14,7 +14,7 @@ use c2nn_circuits::generators::random_dag;
 use c2nn_core::{compile, CompileOptions};
 use c2nn_hal::Choice;
 use c2nn_serve::scheduler::BatchConfig;
-use c2nn_serve::server::{spawn_server, IoModel, ServerConfig};
+use c2nn_serve::server::{spawn_server, ServerConfig};
 use c2nn_serve::{ArrivalMode, LoadgenConfig, RegistryConfig, WireFormat};
 use std::time::Duration;
 
@@ -106,11 +106,10 @@ fn stim_text() -> String {
     text
 }
 
-/// Run the two-codec comparison against a fresh in-process epoll server.
+/// Run the two-codec comparison against a fresh in-process server.
 pub fn run_wire(connections: usize, duration: Duration) -> WireReport {
     let server = spawn_server(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        io: IoModel::EventLoop,
         registry: RegistryConfig {
             byte_budget: usize::MAX,
             batch: BatchConfig {

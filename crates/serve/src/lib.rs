@@ -6,8 +6,8 @@
 //! architecture:
 //!
 //! ```text
-//!  clients ──TCP──▶ server ──▶ registry ──▶ per-model scheduler ──▶ pool
-//!  (N conns)       (frames)   (LRU cache)   (micro-batching)     (threads)
+//!  clients ──TCP──▶ driver ──▶ conn ──▶ registry ──▶ per-model scheduler ──▶ pool
+//!  (N conns)       (bytes)   (frames)  (LRU cache)   (micro-batching)     (threads)
 //! ```
 //!
 //! * [`protocol`] — a codec layer over TCP: newline-delimited JSON frames
@@ -20,8 +20,13 @@
 //!   `max_batch` lanes accumulate or a `max_wait` deadline expires, then
 //!   run as **one** batched forward pass per cycle; per-lane outputs
 //!   scatter back to their clients.
-//! * [`server`] / [`client`] — `std::net` TCP endpoints; the server is
-//!   plain threads + read timeouts, no async runtime.
+//! * [`conn`] — the sans-I/O connection state machine: bytes in, reply
+//!   bytes and at most one pending job out. Every protocol decision (HTTP
+//!   sniff, wire policy, dispatch, admission, ordering, backpressure,
+//!   drain) is made here, once, with no socket and no clock.
+//! * [`server`] / [`client`] — `std::net` TCP endpoints, no async runtime.
+//!   The server pumps [`conn`] cores from one epoll thread on Linux
+//!   (`event_loop`) and from a blocking thread per connection elsewhere.
 //! * [`stats`] — relaxed atomic counters and a log-bucketed latency
 //!   histogram per model, served over the same protocol.
 //! * [`signal`] — SIGINT → graceful shutdown, without a libc dependency.
@@ -42,8 +47,9 @@
 pub mod admission;
 pub mod chaos;
 pub mod client;
+pub mod conn;
 #[cfg(target_os = "linux")]
-pub mod event_loop;
+mod event_loop;
 pub mod loadgen;
 pub mod metrics;
 pub mod protocol;
@@ -56,6 +62,7 @@ pub mod stats;
 pub use admission::{Admission, AdmitError, Pressure, SimPermit};
 pub use chaos::{Chaos, ChaosConfig, Rng};
 pub use client::{Backoff, Client, ClientError, StatsSnapshot};
+pub use conn::{Completer, Connection, Shared};
 pub use loadgen::{ArrivalMode, LoadReport, LoadgenConfig};
 pub use metrics::IoGauges;
 pub use protocol::{
@@ -65,4 +72,4 @@ pub use protocol::{
 };
 pub use registry::{Registry, RegistryConfig};
 pub use scheduler::{BatchConfig, ServedModel, SimFailure, SimOutput, StimData};
-pub use server::{spawn_server, IoModel, ServerConfig, ServerHandle, WirePolicy};
+pub use server::{spawn_server, ServerConfig, ServerHandle, WirePolicy};

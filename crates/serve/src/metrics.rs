@@ -30,8 +30,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// MIME type of the exposition, as expected by Prometheus scrapers.
 pub const CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
-/// Event-loop / connection-level gauges and counters, owned by the
-/// registry so both I/O models (threaded and epoll) feed the same series.
+/// Connection-level gauges and counters, owned by the registry so the
+/// connection core and whichever driver pumps it feed the same series.
 #[derive(Default)]
 pub struct IoGauges {
     /// Connections currently open (accepted, not yet closed).
@@ -39,7 +39,7 @@ pub struct IoGauges {
     /// Connections accepted since start.
     pub accepted_total: AtomicU64,
     /// Readiness wakeups: `epoll_wait` returns (event loop) — 0 under the
-    /// threaded model, which has no readiness notion.
+    /// blocking pump, which has no readiness notion.
     pub readiness_wakeups_total: AtomicU64,
     /// Completions queued by batcher threads, not yet drained by the event
     /// loop.

@@ -151,29 +151,12 @@ impl std::fmt::Display for SimFailure {
     }
 }
 
-/// Where a finished job's result goes. The threaded server blocks on a
-/// channel; the epoll event loop cannot block, so it hands in a hook that
-/// enqueues the result on its completion queue and wakes the loop.
-enum ReplyTo {
-    Channel(Sender<Result<SimOutput, SimFailure>>),
-    Hook(Box<dyn FnOnce(Result<SimOutput, SimFailure>) + Send>),
-}
-
-impl ReplyTo {
-    /// Deliver the result. Replies to vanished clients fail silently.
-    fn send(self, result: Result<SimOutput, SimFailure>) {
-        match self {
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(result);
-            }
-            ReplyTo::Hook(hook) => hook(result),
-        }
-    }
-}
+/// Where a finished job's result goes: run once, on the batcher thread.
+type ReplyHook = Box<dyn FnOnce(Result<SimOutput, SimFailure>) + Send>;
 
 struct SimJob {
     stim: StimData,
-    reply: ReplyTo,
+    reply: ReplyHook,
     enqueued: Instant,
     /// Absolute client deadline; `None` means "whenever".
     deadline: Option<Instant>,
@@ -294,36 +277,28 @@ impl ServedModel {
     /// Enqueue one testbench (already width-checked against
     /// `nn.num_primary_inputs` — the batch driver refuses a wrong-width
     /// stimulus typed, failing the batch it was coalesced into) and return
-    /// the channel its result will arrive on. The caller blocks on `recv()` for as long as it likes —
-    /// or drops the receiver to abandon the request. A `deadline` in the
-    /// past is legal: the scheduler sheds the lane with a typed reply.
+    /// the channel its result will arrive on. The caller blocks on `recv()`
+    /// for as long as it likes — or drops the receiver to abandon the
+    /// request. A `deadline` in the past is legal: the scheduler sheds the
+    /// lane with a typed reply. A torn-down batcher yields
+    /// `Err(SimFailure::ShuttingDown)` on the channel, not a disconnected
+    /// receiver.
     pub fn submit(
         &self,
         stim: impl Into<StimData>,
         deadline: Option<Instant>,
     ) -> Receiver<Result<SimOutput, SimFailure>> {
-        let (rtx, rrx) = mpsc::channel();
-        self.stats.requests.fetch_add(1, Ordering::Relaxed);
-        self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
-        let job = SimJob {
-            stim: stim.into(),
-            reply: ReplyTo::Channel(rtx),
-            enqueued: Instant::now(),
-            deadline,
-        };
-        if self.queue.send(job).is_err() {
-            // batcher thread died (can only happen at teardown); the caller
-            // sees a disconnected receiver
-            self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        rrx
+        let (tx, rx) = mpsc::channel();
+        // a vanished receiver is a client that gave up: drop the reply
+        let hook = move |result| drop(tx.send(result));
+        self.submit_with(stim, deadline, Box::new(hook));
+        rx
     }
 
-    /// Enqueue one testbench with a completion hook instead of a channel:
-    /// the hook runs on the batcher thread when the result is ready. The
-    /// epoll event loop uses this to get woken instead of blocking a
-    /// thread per request — the hook must therefore never block (the event
-    /// loop's hook pushes onto a queue and writes one wake byte).
+    /// Enqueue one testbench with a completion hook: the hook runs on the
+    /// batcher thread when the result is ready, so it must never block
+    /// (the connection drivers' hook pushes onto a queue and wakes the
+    /// I/O thread).
     ///
     /// The hook is guaranteed to run exactly once: a batcher that has
     /// already exited (teardown) fails the job inline with
@@ -338,13 +313,13 @@ impl ServedModel {
         self.stats.queue_depth.fetch_add(1, Ordering::Relaxed);
         let job = SimJob {
             stim: stim.into(),
-            reply: ReplyTo::Hook(on_reply),
+            reply: on_reply,
             enqueued: Instant::now(),
             deadline,
         };
         if let Err(mpsc::SendError(job)) = self.queue.send(job) {
             self.stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-            job.reply.send(Err(SimFailure::ShuttingDown));
+            (job.reply)(Err(SimFailure::ShuttingDown));
         }
     }
 }
@@ -413,7 +388,7 @@ fn finish_job(stats: &ModelCounters, job: SimJob, reply: Result<SimOutput, SimFa
     let us = job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
     stats.latency.observe_us(us);
     stats.queue_depth.fetch_sub(1, Ordering::Relaxed);
-    job.reply.send(reply);
+    (job.reply)(reply);
 }
 
 /// Execute one coalesced batch and scatter results. Every job gets a reply

@@ -1,7 +1,8 @@
 //! The epoll event loop, end-to-end over real sockets: every protocol op,
-//! bit-exact differential agreement with the threaded I/O model, pipelined
-//! non-reading clients (write backpressure), hostile input, half-close
-//! semantics, and drain behavior. Linux-only, like the event loop itself.
+//! pipelined non-reading clients (write backpressure), hostile input,
+//! half-close semantics, and drain behavior. Linux-only, like the event loop
+//! itself. (Its bit-exact differential against the blocking pump is a unit
+//! test in `server.rs`, where both drivers can be named.)
 #![cfg(target_os = "linux")]
 
 use c2nn_circuits::generators::counter;
@@ -12,7 +13,7 @@ use c2nn_serve::client::fetch_metrics;
 use c2nn_serve::metrics::parse_exposition;
 use c2nn_serve::protocol::{Request, Response, SimOutputs, StimPayload};
 use c2nn_serve::scheduler::BatchConfig;
-use c2nn_serve::server::{spawn_server, IoModel, ServerConfig, ServerHandle};
+use c2nn_serve::server::{spawn_server, ServerConfig, ServerHandle};
 use c2nn_serve::{Client, ClientError, RegistryConfig};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -20,10 +21,9 @@ use std::time::Duration;
 
 const WIDTH: usize = 4;
 
-fn server_with(io: IoModel, max_inflight: usize) -> ServerHandle {
+fn epoll_server() -> ServerHandle {
     let server = spawn_server(ServerConfig {
         addr: "127.0.0.1:0".to_string(),
-        io,
         registry: RegistryConfig {
             byte_budget: usize::MAX,
             batch: BatchConfig {
@@ -31,7 +31,7 @@ fn server_with(io: IoModel, max_inflight: usize) -> ServerHandle {
                 max_wait: Duration::from_millis(1),
                 backend: Choice::Named("scalar".to_string()),
             },
-            max_inflight,
+            max_inflight: 1024,
             ..RegistryConfig::default()
         },
         ..ServerConfig::default()
@@ -40,10 +40,6 @@ fn server_with(io: IoModel, max_inflight: usize) -> ServerHandle {
     let nn = compile(&counter(WIDTH), CompileOptions::with_l(4)).unwrap();
     server.registry().install("ctr", nn).unwrap();
     server
-}
-
-fn epoll_server() -> ServerHandle {
-    server_with(IoModel::EventLoop, 1024)
 }
 
 fn refsim_outputs(stim_text: &str) -> Vec<String> {
@@ -81,32 +77,6 @@ fn every_protocol_op_works_over_epoll() {
     assert_eq!(c.sim("ctr", "1 x3\n").unwrap(), refsim_outputs("1 x3\n"));
     c.shutdown().unwrap();
     server.join();
-}
-
-#[test]
-fn epoll_and_threaded_agree_bit_for_bit() {
-    let epoll = server_with(IoModel::EventLoop, 1024);
-    let threaded = server_with(IoModel::Threaded, 1024);
-    let stims = ["1 x1\n", "1 x7\n", "0 x3\n1 x4\n", "1 x16\n"];
-    let mut ce = Client::connect(&epoll.local_addr().to_string()).unwrap();
-    let mut ct = Client::connect(&threaded.local_addr().to_string()).unwrap();
-    for stim in stims {
-        let (a, b) = (ce.sim("ctr", stim).unwrap(), ct.sim("ctr", stim).unwrap());
-        assert_eq!(a, b, "differential mismatch for {stim:?}");
-        assert_eq!(
-            a,
-            refsim_outputs(stim),
-            "both disagree with refsim for {stim:?}"
-        );
-    }
-    // same typed error text for the same bad request
-    let ea = ce.sim("nope", "1 x1\n").unwrap_err().to_string();
-    let eb = ct.sim("nope", "1 x1\n").unwrap_err().to_string();
-    assert_eq!(ea, eb, "typed errors must match across io models");
-    for s in [epoll, threaded] {
-        s.shutdown();
-        s.join();
-    }
 }
 
 #[test]
@@ -203,6 +173,48 @@ fn half_closed_client_still_receives_its_pending_reply() {
         matches!(Response::decode(line), Ok(Response::SimResult { .. })),
         "got {line:?}"
     );
+    server.shutdown();
+    server.join();
+}
+
+/// A half-closed line with its job pending must cost the loop nothing: the
+/// level-triggered RDHUP nobody can act on is not subscribed, so
+/// `epoll_wait` sleeps until the completion instead of returning at once
+/// for the whole life of the sim (hundreds of thousands of wakeups).
+#[test]
+fn half_closed_client_with_a_pending_sim_does_not_spin_the_loop() {
+    let server = epoll_server();
+    let addr = server.local_addr().to_string();
+    let wakeups = || {
+        server
+            .registry()
+            .gauges()
+            .readiness_wakeups_total
+            .load(std::sync::atomic::Ordering::Relaxed)
+    };
+    let mut s = TcpStream::connect(&addr).unwrap();
+    let body = Request::Sim {
+        model: "ctr".to_string(),
+        stim: StimPayload::Text("1 x200000\n".to_string()),
+        deadline_ms: None,
+    }
+    .encode();
+    let before = wakeups();
+    s.write_all(body.as_bytes()).unwrap();
+    s.write_all(b"\n").unwrap();
+    s.shutdown(std::net::Shutdown::Write).unwrap(); // FIN while the sim runs
+    let mut reader = BufReader::new(s);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    let spent = wakeups() - before;
+    assert!(
+        matches!(
+            Response::decode(line.trim_end()),
+            Ok(Response::SimResult { cycles: 200000, .. })
+        ),
+        "the reply still arrives before FIN"
+    );
+    assert!(spent < 100, "loop woke {spent} times for one request");
     server.shutdown();
     server.join();
 }

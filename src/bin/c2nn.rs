@@ -23,7 +23,7 @@ fn usage() -> ! {
          (--passes: all | none | comma list of fold,cse,dce,merge)\n  \
          c2nn sim     <model.json> --cycles <n> [--batch <n>] [--backend <name>|auto] [--guard]\n  \
          c2nn bench   <model.json> <tb.stim>... [--backend <name>|auto] (batched testbenches)\n  \
-         c2nn serve   <model.json>... [--addr host:port] [--io auto|threads|epoll] [--wire any|json] [--max-batch <n>] [--max-wait-ms <n>] [--mem-mb <n>] [--max-inflight <n>] [--backend <name>|auto] [--chaos <spec>]\n  \
+         c2nn serve   <model.json>... [--addr host:port] [--wire any|json] [--max-batch <n>] [--max-wait-ms <n>] [--mem-mb <n>] [--max-inflight <n>] [--backend <name>|auto] [--chaos <spec>]\n  \
          c2nn calibrate [--quick] [--out results/DEVICE.json] [--check <path>]\n  \
          (--chaos: seed=<n>,worker_panic=<p>,worker_panic_budget=<n>,stall=<p>,stall_ms=<n>,stall_budget=<n>)\n  \
          c2nn client  <addr> [--wire json|binary] [--ping | --stats | --metrics [--check] | --shutdown | --load <model.json> [--name <n>]]\n  \
@@ -410,14 +410,6 @@ fn main() {
             let max_wait_ms: u64 = int_flag(&args, "--max-wait-ms", 2, 0);
             let mem_mb: usize = int_flag(&args, "--mem-mb", 512, 1);
             let max_inflight: usize = int_flag(&args, "--max-inflight", 1024, 1);
-            let io: c2nn::serve::IoModel = flag(&args, "--io")
-                .map(|s| {
-                    s.parse().unwrap_or_else(|e| {
-                        eprintln!("error: {e}");
-                        exit(2)
-                    })
-                })
-                .unwrap_or_default();
             let wire: c2nn::serve::WirePolicy = flag(&args, "--wire")
                 .map(|s| {
                     s.parse().unwrap_or_else(|e| {
@@ -437,7 +429,6 @@ fn main() {
             });
             let cfg = ServerConfig {
                 addr,
-                io,
                 registry: RegistryConfig {
                     byte_budget: mem_mb << 20,
                     batch: BatchConfig {
@@ -481,9 +472,8 @@ fn main() {
             }
             c2nn::serve::signal::install_sigint_handler();
             println!(
-                "serving on {} (io {:?}, wire {wire:?}, backend {backend}, max_batch {max_batch}, max_wait {max_wait_ms}ms, max_inflight {max_inflight}) — Ctrl-C or a `shutdown` request stops it",
-                server.local_addr(),
-                io.resolve()
+                "serving on {} (wire {wire:?}, backend {backend}, max_batch {max_batch}, max_wait {max_wait_ms}ms, max_inflight {max_inflight}) — Ctrl-C or a `shutdown` request stops it",
+                server.local_addr()
             );
             server.join();
             println!("server stopped");
