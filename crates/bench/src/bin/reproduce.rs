@@ -2,25 +2,44 @@
 //!
 //! ```text
 //! reproduce [--quick] [table1|fig4|fig6|ablate-merge|ablate-sparse|
-//!            batch-sweep|ablate-dtype|all]
+//!            batch-sweep|ablate-wide|ablate-dtype|guard-overhead|all]
 //! ```
 //!
-//! Results print as text tables and are also written to `results/*.json`.
+//! Results print as text tables and are also written to `results/*.json`
+//! (`guard-overhead` rewrites the table inside `results/guard_overhead.md`).
 //! `--quick` shrinks measurement budgets and sweep ranges for smoke runs.
 
 use c2nn_bench::experiments::*;
 use c2nn_bench::harness::sci;
 use std::time::Duration;
 
-fn save_json<T: c2nn_json::ToJson>(name: &str, value: &T) {
+fn save(path: &str, text: &str) {
     std::fs::create_dir_all("results").ok();
-    let path = format!("results/{name}.json");
-    if let Err(e) = std::fs::write(&path, c2nn_json::to_string_pretty(value)) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        eprintln!("wrote {path}");
+    match std::fs::write(path, text) {
+        Ok(()) => eprintln!("wrote {path}"),
+        Err(e) => eprintln!("warning: could not write {path}: {e}"),
     }
 }
+
+fn save_json<T: c2nn_json::ToJson>(name: &str, value: &T) {
+    save(
+        &format!("results/{name}.json"),
+        &c2nn_json::to_string_pretty(value),
+    );
+}
+
+/// Every experiment name `reproduce` accepts besides `all`.
+const EXPERIMENTS: [&str; 9] = [
+    "table1",
+    "fig4",
+    "fig6",
+    "ablate-merge",
+    "ablate-sparse",
+    "batch-sweep",
+    "ablate-wide",
+    "ablate-dtype",
+    "guard-overhead",
+];
 
 struct Cfg {
     budget: Duration,
@@ -68,6 +87,13 @@ fn main() {
         .unwrap_or_else(|| "all".to_string());
     let cfg = Cfg::new(quick);
     let run_all = what == "all";
+    if !run_all && !EXPERIMENTS.contains(&what.as_str()) {
+        eprintln!(
+            "unknown experiment '{what}'. Options: {} all (plus --quick)",
+            EXPERIMENTS.join(" ")
+        );
+        std::process::exit(2);
+    }
 
     if run_all || what == "table1" {
         println!("== Table I: circuits × L — compilation and throughput ==");
@@ -168,23 +194,26 @@ fn main() {
         }
         save_json("ablate_dtype", &rows);
     }
-    if !run_all
-        && ![
-            "table1",
-            "fig4",
-            "fig6",
-            "ablate-merge",
-            "ablate-sparse",
-            "batch-sweep",
-            "ablate-wide",
-            "ablate-dtype",
-        ]
-        .contains(&what.as_str())
-    {
-        eprintln!(
-            "unknown experiment '{what}'. Options: table1 fig4 fig6 ablate-merge \
-             ablate-sparse batch-sweep ablate-dtype all (plus --quick)"
-        );
-        std::process::exit(2);
+    if run_all || what == "guard-overhead" {
+        println!("== Guard overhead: unguarded step vs guarded try_step (UART, L=5) ==");
+        let rows = guard_overhead(cfg.budget);
+        print!("{rows}");
+        // the note keeps its prose and table header; its data rows
+        // ("|   1 | …") are replaced by the fresh ones
+        let path = "results/guard_overhead.md";
+        if let Ok(md) = std::fs::read_to_string(path) {
+            let mut fresh = Some(rows);
+            let spliced: String = md
+                .split_inclusive('\n')
+                .map(|line| {
+                    if line.starts_with("|  ") {
+                        fresh.take().unwrap_or_default()
+                    } else {
+                        line.to_string()
+                    }
+                })
+                .collect();
+            save(path, &spliced);
+        }
     }
 }

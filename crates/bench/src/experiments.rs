@@ -1,18 +1,15 @@
 //! The experiment implementations behind the `reproduce` binary: one
 //! function per paper table/figure plus the ablations (DESIGN.md §4).
 
-use crate::harness::{sci, time_adaptive, time_once, Throughput};
+use crate::device_model::DeviceModel;
+use crate::harness::{sci, time_adaptive, Throughput};
 use c2nn_boolfn::{lut_to_poly, lut_to_poly_dnf, Lut};
 use c2nn_circuits::table1_suite;
-use c2nn_core::{
-    compile, compile_as, compile_with_report, CompileOptions, CompiledNn, IrMetrics, PassId,
-    PassSet, Simulator,
-};
-use c2nn_hal::DeviceModel;
+use c2nn_core::{compile, compile_as, CompileOptions, CompiledNn, PassId, PassSet, Simulator};
 use c2nn_json::json_obj;
 use c2nn_refsim::CycleSim;
 use c2nn_tensor::{Dense, Device};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One Table I row (per circuit × L).
 #[derive(Clone, Debug)]
@@ -95,11 +92,9 @@ pub fn table1(ls: &[usize], batch: usize, budget: Duration) -> Vec<Table1Row> {
             sci(reft.gcs())
         );
         for &l in ls {
-            let mut nn_opt = None;
-            let generation_s = time_once(|| {
-                nn_opt = Some(compile(&nl, CompileOptions::with_l(l)).expect("compile"));
-            });
-            let nn = nn_opt.unwrap();
+            let t0 = Instant::now();
+            let nn = compile(&nl, CompileOptions::with_l(l)).expect("compile");
+            let generation_s = t0.elapsed().as_secs_f64();
             let meas = nn_measured_throughput(&nn, batch, budget);
             let modeled = gpu.throughput(&nn, 1024);
             eprintln!(
@@ -555,243 +550,29 @@ pub fn ablate_wide(widths: &[usize]) -> Vec<WideGateRow> {
         .collect()
 }
 
-/// One compile-stats row: a suite circuit compiled with only the legacy
-/// layer merge (`baseline`) vs the full pass pipeline (`optimized`), plus
-/// the per-pass nonzero reductions (positive = nnz removed).
-#[derive(Clone, Debug)]
-pub struct CompilePassRow {
-    pub circuit: String,
-    pub l: usize,
-    pub gates: usize,
-    pub baseline: IrMetrics,
-    pub optimized: IrMetrics,
-    pub fold_nnz_removed: i64,
-    pub cse_nnz_removed: i64,
-    pub dce_nnz_removed: i64,
-    /// May be negative: the Fig. 5 merge trades nonzeros for depth.
-    pub merge_nnz_removed: i64,
-    pub compile_s: f64,
-}
-json_obj!(CompilePassRow {
-    circuit,
-    l,
-    gates,
-    baseline,
-    optimized,
-    fold_nnz_removed,
-    cse_nnz_removed,
-    dce_nnz_removed,
-    merge_nnz_removed,
-    compile_s
-});
-
-/// Compile every suite circuit with and without the cross-LUT optimization
-/// passes, recording per-pass size deltas (the `BENCH_compile_passes.json`
-/// artifact and its CI gate).
-pub fn compile_passes(l: usize) -> Vec<CompilePassRow> {
-    let merge_only = PassSet::none().with(PassId::LayerMerge);
-    let mut rows = Vec::new();
-    for bench in table1_suite() {
-        let nl = (bench.build)();
-        let (base_nn, _) =
-            compile_with_report::<f32>(&nl, CompileOptions::with_l(l).with_passes(merge_only))
-                .expect("baseline compile");
-        let (opt_nn, report) =
-            compile_with_report::<f32>(&nl, CompileOptions::with_l(l)).expect("compile");
-        let delta = |pass: &str| report.stat(pass).map(|p| p.nnz_delta()).unwrap_or(0);
-        let metrics = |nn: &CompiledNn<f32>| IrMetrics {
-            layers: nn.num_layers(),
-            neurons: nn.layers.iter().map(|ly| ly.out_width()).sum(),
-            nnz: nn.connections(),
-        };
-        let row = CompilePassRow {
-            circuit: bench.name.to_string(),
-            l,
-            gates: nl.gate_count(),
-            baseline: metrics(&base_nn),
-            optimized: metrics(&opt_nn),
-            fold_nnz_removed: delta("constant-fold"),
-            cse_nnz_removed: delta("monomial-cse"),
-            dce_nnz_removed: delta("dead-neuron-elim"),
-            merge_nnz_removed: delta("layer-merge"),
-            compile_s: report.total_s,
-        };
-        eprintln!(
-            "[compile-passes] {}: nnz {} → {} (fold {} cse {} dce {} merge {})",
-            bench.name,
-            row.baseline.nnz,
-            row.optimized.nnz,
-            row.fold_nnz_removed,
-            row.cse_nnz_removed,
-            row.dce_nnz_removed,
-            row.merge_nnz_removed,
-        );
-        rows.push(row);
-    }
-    rows
-}
-
-pub fn format_compile_passes(rows: &[CompilePassRow]) -> String {
-    let mut s = format!(
-        "{:<17} {:>2} {:>9} | {:>7} {:>10} | {:>7} {:>10} | {:>8} {:>8} {:>8} {:>9}\n",
-        "Circuit",
-        "L",
-        "Gates",
-        "Layers",
-        "nnz(base)",
-        "Layers",
-        "nnz(opt)",
-        "Δfold",
-        "Δcse",
-        "Δdce",
-        "Δmerge"
-    );
-    s.push_str(&"-".repeat(118));
-    s.push('\n');
-    for r in rows {
-        s.push_str(&format!(
-            "{:<17} {:>2} {:>9} | {:>7} {:>10} | {:>7} {:>10} | {:>8} {:>8} {:>8} {:>9}\n",
-            r.circuit,
-            r.l,
-            r.gates,
-            r.baseline.layers,
-            r.baseline.nnz,
-            r.optimized.layers,
-            r.optimized.nnz,
-            -r.fold_nnz_removed,
-            -r.cse_nnz_removed,
-            -r.dce_nnz_removed,
-            -r.merge_nnz_removed,
-        ));
-    }
-    s
-}
-
-/// One circuit's pooled-CSR vs bit-plane throughput comparison (the
-/// `BENCH_bitplane.json` artifact and its ≥10× CI gate).
-#[derive(Clone, Debug)]
-pub struct BitplaneRow {
-    pub circuit: String,
-    pub l: usize,
-    pub gates: usize,
-    pub batch: usize,
-    /// pooled-CSR simulator on `Device::Parallel`, gates·cycles/s
-    pub csr_gcs: f64,
-    /// bit-plane backend on `Device::Parallel`, gates·cycles/s
-    pub bitplane_gcs: f64,
-    pub speedup: f64,
-    /// bit-plane plan shape: layer count and op mix
-    pub plan_layers: usize,
-    pub gate_ops: usize,
-    /// popcount-fallback rows — 0 whenever the unmerged pipeline legalizes
-    pub weighted_ops: usize,
-}
-json_obj!(BitplaneRow {
-    circuit,
-    l,
-    gates,
-    batch,
-    csr_gcs,
-    bitplane_gcs,
-    speedup,
-    plan_layers,
-    gate_ops,
-    weighted_ops
-});
-
-/// Race the bit-plane backend against the pooled-CSR path on every suite
-/// circuit: same compile pipeline L, same batch width, both on the global
-/// thread pool, zero stimulus (throughput is data-independent — every lane
-/// runs every op).
-pub fn bitplane_throughput(l: usize, batch: usize, budget: Duration) -> Vec<BitplaneRow> {
-    use c2nn_core::{compile_bitplane, BitTensor, BitplaneSimulator};
-    let mut rows = Vec::new();
-    for bench in table1_suite() {
-        let nl = (bench.build)();
-        let nn = compile(&nl, CompileOptions::with_l(l)).expect("compile");
-        let mut csr_sim = Simulator::new(&nn, batch, Device::Parallel);
+/// Guarded `try_step` vs unguarded `step` on UART at L = 5: one data row
+/// of the `results/guard_overhead.md` table per batch width.
+pub fn guard_overhead(budget: Duration) -> String {
+    let nn = compile(&c2nn_circuits::uart(), CompileOptions::with_l(5)).unwrap();
+    let mut rows = String::new();
+    for batch in [1usize, 64, 256] {
         let x = Dense::<f32>::zeros(nn.num_primary_inputs, batch);
-        let csr_secs = time_adaptive(budget, 2, || {
-            csr_sim.step(&x);
+        let mut sim = Simulator::new(&nn, batch, Device::Serial);
+        let plain_s = time_adaptive(budget, 3, || {
+            std::hint::black_box(sim.step(&x));
         });
-        let csr = Throughput {
-            gates: nn.gate_count,
-            cycles: batch as f64,
-            seconds: csr_secs,
-        };
-
-        let (_, plan) = compile_bitplane(&nl, CompileOptions::with_l(l)).expect("legalize");
-        let census = plan.op_census();
-        let mut bp_sim = BitplaneSimulator::new(&plan, batch, Device::Parallel);
-        let packed = BitTensor::zeros(plan.num_primary_inputs, batch);
-        let mut out = BitTensor::zeros(0, 0);
-        let bp_secs = time_adaptive(budget, 2, || {
-            bp_sim.step_packed_into(&packed, &mut out).expect("step");
+        sim.enable_guard();
+        let guarded_s = time_adaptive(budget, 3, || {
+            std::hint::black_box(sim.try_step(&x).expect("guard holds"));
         });
-        let bp = Throughput {
-            gates: nn.gate_count,
-            cycles: batch as f64,
-            seconds: bp_secs,
-        };
-
-        let row = BitplaneRow {
-            circuit: bench.name.to_string(),
-            l,
-            gates: nl.gate_count(),
-            batch,
-            csr_gcs: csr.gcs(),
-            bitplane_gcs: bp.gcs(),
-            speedup: bp.gcs() / csr.gcs(),
-            plan_layers: plan.num_layers(),
-            gate_ops: census.total() - census.weighted,
-            weighted_ops: census.weighted,
-        };
-        eprintln!(
-            "[bitplane] {}: csr {} bitplane {} g*c/s — {:.1}x ({} gate ops, {} weighted)",
-            bench.name,
-            sci(row.csr_gcs),
-            sci(row.bitplane_gcs),
-            row.speedup,
-            row.gate_ops,
-            row.weighted_ops,
-        );
-        rows.push(row);
-    }
-    rows
-}
-
-pub fn format_bitplane(rows: &[BitplaneRow]) -> String {
-    let mut s = format!(
-        "{:<17} {:>2} {:>9} {:>6} | {:>10} {:>10} {:>8} | {:>6} {:>8} {:>8}\n",
-        "Circuit",
-        "L",
-        "Gates",
-        "Batch",
-        "csr g*c/s",
-        "bp g*c/s",
-        "speedup",
-        "layers",
-        "gate-ops",
-        "weighted"
-    );
-    s.push_str(&"-".repeat(100));
-    s.push('\n');
-    for r in rows {
-        s.push_str(&format!(
-            "{:<17} {:>2} {:>9} {:>6} | {:>10} {:>10} {:>7.1}x | {:>6} {:>8} {:>8}\n",
-            r.circuit,
-            r.l,
-            r.gates,
-            r.batch,
-            sci(r.csr_gcs),
-            sci(r.bitplane_gcs),
-            r.speedup,
-            r.plan_layers,
-            r.gate_ops,
-            r.weighted_ops,
+        rows.push_str(&format!(
+            "| {batch:>11} | {:>11.1} µs   | {:>13.1} µs   | {:>5.2}×   |\n",
+            plain_s * 1e6,
+            guarded_s * 1e6,
+            guarded_s / plain_s
         ));
     }
-    s
+    rows
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
-//! Measurement utilities shared by the `reproduce` binary and the
-//! criterion benches: adaptive wall-clock timing and the paper's
-//! gates·cycles/s throughput metric.
+//! Measurement utilities behind the `reproduce` binary: adaptive
+//! wall-clock timing and the paper's gates·cycles/s throughput metric.
 
 use std::time::{Duration, Instant};
 
@@ -25,13 +24,6 @@ pub fn time_adaptive(budget: Duration, min_iters: u32, mut f: impl FnMut()) -> f
     }
 }
 
-/// Time a single call.
-pub fn time_once(f: impl FnOnce()) -> f64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64()
-}
-
 /// The paper's throughput unit: gates × cycles / second. For batched
 /// simulation, `cycles` counts per-testbench cycles (batch × steps).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -45,11 +37,6 @@ impl Throughput {
     /// gates·cycles/s.
     pub fn gcs(&self) -> f64 {
         self.gates as f64 * self.cycles / self.seconds
-    }
-
-    /// Speed-up of `self` over `baseline`.
-    pub fn speedup_over(&self, baseline: &Throughput) -> f64 {
-        self.gcs() / baseline.gcs()
     }
 }
 
@@ -104,12 +91,6 @@ mod tests {
             seconds: 0.5,
         };
         assert_eq!(t.gcs(), 100_000.0);
-        let base = Throughput {
-            gates: 1000,
-            cycles: 50.0,
-            seconds: 5.0,
-        };
-        assert!((t.speedup_over(&base) - 10.0).abs() < 1e-12);
     }
 
     #[test]

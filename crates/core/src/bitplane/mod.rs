@@ -16,12 +16,11 @@
 //! Pipeline: [`BitplaneNn::from_compiled`] (legalize) → [`BitplaneNn::forward_with`]
 //! (execute, sharded on the shared worker pool) → [`BitplaneSimulator`]
 //! (the cycle driver, state resident in planes, matching the CSR
-//! backend's `Simulator`). Compile for it with
-//! [`compile_bitplane`](crate::compile_bitplane) (drops the layer-merge
-//! pass so the unmerged pipeline legalizes popcount-free), or pick it at
-//! the CLI with `--backend bitplane` / `--backend auto` — the `c2nn-hal`
-//! backend registry serves it through the same `Backend` trait as the
-//! scalar and pooled-CSR engines.
+//! backend's `Simulator`). Pick it at the CLI with `--backend bitplane` /
+//! `--backend auto` — the `c2nn-hal` backend registry serves it through
+//! the same `Backend` trait as the scalar and pooled-CSR engines. Any
+//! compiled network legalizes; one compiled without the layer-merge pass
+//! does so popcount-free.
 //!
 //! Exactness contract: bit-exact with the CSR backend for every network
 //! the compiler produces (enforced by the differential lockstep suite in

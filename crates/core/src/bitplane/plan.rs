@@ -182,7 +182,7 @@ impl fmt::Display for BitplaneError {
 
 impl std::error::Error for BitplaneError {}
 
-/// Per-kind op counts of a bit-plane program (reported by the bench and
+/// Per-kind op counts of a bit-plane program (reported by the benchmark and
 /// asserted on in tests: the unmerged pipeline should legalize almost
 /// entirely to gate ops, not `Weighted` fallbacks).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

@@ -9,7 +9,7 @@
 //! [`CompiledNn`] of sparse integer layers. Every stage records wall time
 //! and size metrics into a [`CompileReport`].
 
-use crate::ir::passes::{legalize, PassId, PassManager, PassSet};
+use crate::ir::passes::{legalize, PassManager, PassSet};
 use crate::ir::report::{CompileReport, PassStat};
 use crate::ir::{lower::lower, NnGraph};
 use crate::layer::NnLayer;
@@ -30,7 +30,7 @@ pub struct CompileOptions {
     /// Which optimization passes run between lowering and legalization
     /// (always in canonical order). The merge ablation is
     /// `PassSet::all().without(PassId::LayerMerge)` — also the pass set
-    /// the bit-plane backend prefers (see [`compile_bitplane`]).
+    /// the bit-plane backend's `compile_options` asks for.
     pub passes: PassSet,
 }
 
@@ -99,8 +99,6 @@ pub enum CompileError {
     /// A merged coefficient exceeded what the target scalar represents
     /// exactly (f32 is exact only to ±2^24).
     CoefficientOverflow { value: i64, limit: i64 },
-    /// Legalizing to the bit-plane backend failed (source preserved).
-    Bitplane(crate::bitplane::BitplaneError),
 }
 
 impl std::fmt::Display for CompileError {
@@ -122,7 +120,6 @@ impl std::fmt::Display for CompileError {
                 f,
                 "merged weight {value} exceeds the exact range ±{limit} of the target dtype"
             ),
-            CompileError::Bitplane(e) => write!(f, "bit-plane legalization failed: {e}"),
         }
     }
 }
@@ -132,7 +129,6 @@ impl std::error::Error for CompileError {
         match self {
             CompileError::Seq(e) => Some(e),
             CompileError::Map(e) => Some(e),
-            CompileError::Bitplane(e) => Some(e),
             _ => None,
         }
     }
@@ -224,27 +220,6 @@ pub fn compile(nl: &Netlist, opts: CompileOptions) -> Result<CompiledNn<f32>, Co
     compile_as::<f32>(nl, opts)
 }
 
-/// Compile a netlist straight to the bit-plane backend: drops the
-/// layer-merge pass (merging trades depth for dense integer rows — a win
-/// for CSR arithmetic, but it forces the bit-plane executor into its
-/// popcount fallback, whereas the unmerged threshold/linear alternation
-/// legalizes to single word ops per neuron) and legalizes the result to a
-/// [`BitplaneNn`](crate::bitplane::BitplaneNn). The scalar network is
-/// returned alongside for differential checks and serving metadata.
-/// (A merged network still runs correctly on the bit-plane backend; it is
-/// just slower.)
-pub fn compile_bitplane(
-    nl: &Netlist,
-    opts: CompileOptions,
-) -> Result<(CompiledNn<f32>, crate::bitplane::BitplaneNn), CompileError> {
-    let nn = compile(
-        nl,
-        opts.with_passes(opts.passes.without(PassId::LayerMerge)),
-    )?;
-    let plan = crate::bitplane::BitplaneNn::from_compiled(&nn).map_err(CompileError::Bitplane)?;
-    Ok((nn, plan))
-}
-
 /// Compile with an explicit scalar type (`i32`/`i64` give the paper's
 /// proposed integer kernels, §V).
 pub fn compile_as<T: Scalar>(
@@ -255,7 +230,7 @@ pub fn compile_as<T: Scalar>(
 }
 
 /// Compile, also returning the per-pass [`CompileReport`] (the `--stats`
-/// path and the bench harness's compile-stats experiment).
+/// path and the benchmark's `core.pass_s.*` metrics).
 pub fn compile_with_report<T: Scalar>(
     nl: &Netlist,
     opts: CompileOptions,

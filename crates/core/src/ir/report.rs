@@ -1,6 +1,7 @@
 //! Per-pass compile instrumentation: every pipeline stage records wall time
 //! and before→after size metrics into a [`CompileReport`], surfaced through
-//! `c2nn compile --stats` and the bench harness's compile-stats experiment.
+//! `c2nn compile --stats` and the benchmark's `core.pass_s.*` / `core.nnz`
+//! metrics.
 
 use c2nn_json::json_obj;
 

@@ -57,8 +57,8 @@ pub mod validate;
 
 pub use bitplane::{BitTensor, BitplaneError, BitplaneNn, BitplaneSimulator, RowClassCensus};
 pub use compile::{
-    compile, compile_as, compile_bitplane, compile_graph, compile_graph_with_report,
-    compile_with_report, CompileError, CompileOptions, CompiledNn,
+    compile, compile_as, compile_graph, compile_graph_with_report, compile_with_report,
+    CompileError, CompileOptions, CompiledNn,
 };
 pub use faults::FaultSite;
 pub use ir::passes::{PassId, PassSet};

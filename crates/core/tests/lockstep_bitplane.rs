@@ -55,7 +55,7 @@ fn suite() -> Vec<(&'static str, Netlist)> {
 }
 
 /// The pass set the bit-plane backend prefers: everything but layer-merge
-/// (what `compile_bitplane` and the HAL's bitplane backend select).
+/// (what the HAL's bitplane backend asks for in `compile_options`).
 fn unmerged() -> PassSet {
     PassSet::all().without(PassId::LayerMerge)
 }

@@ -59,7 +59,7 @@ c2nn_json::json_struct!(RowClassCount { class, rows });
 /// What an admitted plan looks like to the cost model: the work shape the
 /// calibrated [`BackendCalibration`](crate::BackendCalibration) prices.
 ///
-/// The two-term kernel model generalizes `c2nn-bench`'s device model:
+/// The two-term kernel model (a launch term plus work at a sustained rate):
 ///
 /// ```text
 /// t_cycle(batch) = layers × launch_s
@@ -224,7 +224,10 @@ pub trait Backend: Send + Sync {
     /// Adjust compile options for models compiled *for* this backend
     /// (the bit-plane backend drops layer-merge so the unmerged pipeline
     /// legalizes popcount-free). Admission must still accept models
-    /// compiled with any options.
+    /// compiled with any options: no CLI, serve or benchmark path calls
+    /// this — they compile with the defaults and then select — so the
+    /// conformance suite holds a backend to both pipelines
+    /// ([`compile_configs`](crate::conformance::compile_configs)).
     fn compile_options(&self, base: CompileOptions) -> CompileOptions {
         base
     }

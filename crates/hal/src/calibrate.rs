@@ -9,18 +9,22 @@
 //! t = layers × launch_s + word_units × (1 / unit_per_s)
 //! ```
 //!
-//! over all points (two unknowns, ≥6 points). The bit-plane backend gets
-//! one extra merged-network workload to price its bit-sliced-counter
-//! fallback: the `weighted_unit_factor` is whatever multiple of the cheap
-//! rate explains the measured residual.
+//! over all points (two unknowns, ≥6 points) of the workloads compiled the
+//! way the backend prefers. Where the default pipeline — the one every
+//! production plan is compiled with — is a different one (bit-plane: the
+//! merged network runs on the bit-sliced-counter fallback), the same
+//! workloads compiled that way price the fallback: the
+//! `weighted_unit_factor` is whatever multiple of the cheap rate explains
+//! their measured residual.
 //!
 //! The output [`DeviceCalibration`] is what `c2nn calibrate` writes to
 //! `results/DEVICE.json`.
 
 use crate::backend::Plan;
+use crate::conformance::compile_configs;
 use crate::cost::{BackendCalibration, DeviceCalibration};
 use crate::registry::BackendRegistry;
-use c2nn_core::{compile, BitTensor, CompileOptions, CompiledNn, PassSet};
+use c2nn_core::{compile, BitTensor, CompiledNn};
 use c2nn_netlist::Netlist;
 use std::sync::Arc;
 use std::time::Instant;
@@ -145,29 +149,39 @@ pub fn calibrate(
     let mut entries = Vec::new();
     for name in registry.names() {
         let backend = registry.get(name).unwrap();
-        // compile each workload the way this backend prefers
+        // the backend's preferred pipeline (the last config) feeds the fit;
+        // the default pipeline, where it is a different one, is what every
+        // production plan is made of and prices the weighted units below
+        let configs = compile_configs(backend.as_ref());
+        let fit_cfg = configs.last().expect("at least the default config").0;
         let mut plans: Vec<Arc<dyn Plan>> = Vec::new();
+        let mut production: Vec<Arc<dyn Plan>> = Vec::new();
         let mut coverage_num = 0.0;
         let mut coverage_den = 0.0;
         for (wname, nl) in workloads() {
-            let nn: Arc<CompiledNn<f32>> = Arc::new(
-                compile(&nl, backend.compile_options(CompileOptions::with_l(4)))
-                    .map_err(|e| format!("{name}/{wname}: compile failed: {e}"))?,
-            );
-            if let Ok(plan) = backend.admit(&nn) {
+            for &(cfg, copts) in &configs {
+                let nn: Arc<CompiledNn<f32>> = Arc::new(
+                    compile(&nl, copts)
+                        .map_err(|e| format!("{name}/{wname}[{cfg}]: compile failed: {e}"))?,
+                );
+                let Ok(plan) = backend.admit(&nn) else {
+                    continue;
+                };
                 let m = plan.manifest();
                 let rows: u64 = m.row_classes.iter().map(|c| c.rows).sum();
-                if rows > 0 {
-                    let counter = m
-                        .row_classes
-                        .iter()
-                        .filter(|c| c.class == "counter")
-                        .map(|c| c.rows)
-                        .sum::<u64>();
-                    coverage_num += (rows - counter) as f64;
-                    coverage_den += rows as f64;
+                let counter: u64 = m
+                    .row_classes
+                    .iter()
+                    .filter(|c| c.class == "counter")
+                    .map(|c| c.rows)
+                    .sum();
+                coverage_num += (rows - counter) as f64;
+                coverage_den += rows as f64;
+                if cfg == fit_cfg {
+                    plans.push(plan);
+                } else {
+                    production.push(plan);
                 }
-                plans.push(plan);
             }
         }
         if plans.is_empty() {
@@ -186,38 +200,25 @@ pub fn calibrate(
         }
         let (launch_s, unit_per_s) = fit(&points);
 
-        // second pass (bit-plane only): a merged network forces the
-        // counter fallback; the residual over the fitted model prices it
-        let mut weighted_unit_factor = 1.0;
-        if name == "bitplane" {
-            let nl = c2nn_circuits::generators::multiplier(4);
-            let nn: Arc<CompiledNn<f32>> = Arc::new(
-                compile(&nl, CompileOptions::with_l(4).with_passes(PassSet::all()))
-                    .map_err(|e| format!("{name}/mult4-merged: compile failed: {e}"))?,
-            );
-            if let Ok(plan) = backend.admit(&nn) {
-                let m = plan.manifest().clone();
-                if m.weighted_units > 0.0 {
-                    let batch = 64;
-                    let t = time_cycle(plan.as_ref(), batch, opts.quick);
-                    let words = (batch as u64).div_ceil(m.lanes_per_word.max(1)) as f64;
-                    let residual =
-                        (t - m.layers as f64 * launch_s) * unit_per_s / words - m.cheap_units;
-                    weighted_unit_factor = (residual / m.weighted_units).clamp(0.25, 16.0);
-                }
-                let rows: u64 = m.row_classes.iter().map(|c| c.rows).sum();
-                if rows > 0 {
-                    let counter = m
-                        .row_classes
-                        .iter()
-                        .filter(|c| c.class == "counter")
-                        .map(|c| c.rows)
-                        .sum::<u64>();
-                    coverage_num += (rows - counter) as f64;
-                    coverage_den += rows as f64;
-                }
+        // second pass: a merged network forces the bit-plane engine into
+        // its counter fallback; the production plans' residual over the
+        // fitted model prices it
+        let (mut residual, mut weighted) = (0.0, 0.0);
+        for plan in &production {
+            let m = plan.manifest();
+            if m.weighted_units > 0.0 {
+                let batch = 64;
+                let t = time_cycle(plan.as_ref(), batch, opts.quick);
+                let words = (batch as u64).div_ceil(m.lanes_per_word.max(1)) as f64;
+                residual += (t - m.layers as f64 * launch_s) * unit_per_s / words - m.cheap_units;
+                weighted += m.weighted_units;
             }
         }
+        let weighted_unit_factor = if weighted > 0.0 {
+            (residual / weighted).clamp(0.25, 16.0)
+        } else {
+            1.0
+        };
 
         let coverage = if coverage_den > 0.0 {
             coverage_num / coverage_den

@@ -56,6 +56,22 @@ pub fn suite_workloads() -> Vec<(&'static str, Netlist)> {
         .collect()
 }
 
+/// The compile configurations a backend is held to, labelled: `default` —
+/// what `c2nn sim/bench/serve`, the model registry and the benchmark all
+/// build before they `select`, so what every production plan is made of
+/// (for bit-plane: the merged network with `Weighted` rows) — and the
+/// backend's own `preferred` pipeline where [`Backend::compile_options`]
+/// asks for a different one.
+pub fn compile_configs(backend: &dyn Backend) -> Vec<(&'static str, CompileOptions)> {
+    let default = CompileOptions::with_l(4);
+    let preferred = backend.compile_options(default);
+    let mut configs = vec![("default", default)];
+    if preferred.passes != default.passes {
+        configs.push(("preferred", preferred));
+    }
+    configs
+}
+
 /// Lanes per batch that also get an independent gate-level refsim (refsim
 /// is scalar and slow; CSR covers every lane, refsim anchors the pair to
 /// the source circuit).
@@ -70,16 +86,19 @@ const BATCH: usize = 67;
 /// Run the full conformance contract against one backend. Panics with a
 /// labeled message on any divergence.
 pub fn check_backend(backend: &dyn Backend) {
-    let name = backend.name();
-    for (cname, nl) in suite_workloads() {
-        let opts = backend.compile_options(CompileOptions::with_l(4));
-        let nn = Arc::new(compile(&nl, opts).unwrap());
+    let configs = compile_configs(backend);
+    for ((cname, nl), (cfg, opts)) in suite_workloads()
+        .iter()
+        .flat_map(|w| configs.iter().map(move |c| (w, c)))
+    {
+        let name = format!("{}[{cfg}]", backend.name());
+        let nn = Arc::new(compile(nl, *opts).unwrap());
         let plan = backend
             .admit(&nn)
-            .unwrap_or_else(|r| panic!("{name}/{cname}: backend refused its own compile: {r}"));
+            .unwrap_or_else(|r| panic!("{name}/{cname}: backend refused a compiled network: {r}"));
         assert_eq!(
             plan.backend(),
-            name,
+            backend.name(),
             "{cname}: plan reports the wrong backend"
         );
         let m = plan.manifest();
@@ -92,9 +111,9 @@ pub fn check_backend(backend: &dyn Backend) {
         let mut sessions: Vec<Session<f32>> = (0..BATCH).map(|_| Session::new(&nn)).collect();
         let mut csr_sim = Simulator::new(&nn, BATCH, Device::Serial);
         let mut refs: Vec<CycleSim> = (0..REF_LANES.min(BATCH))
-            .map(|_| CycleSim::new(&nl).unwrap())
+            .map(|_| CycleSim::new(nl).unwrap())
             .collect();
-        let mut rng = Lcg(0xc0f ^ cname.len() as u64 ^ (name.len() as u64) << 8);
+        let mut rng = Lcg(0xc0f ^ cname.len() as u64 ^ (backend.name().len() as u64) << 8);
         let pi = nn.num_primary_inputs;
         for cycle in 0..CYCLES {
             let lanes = rng.lanes(BATCH, pi);
@@ -133,79 +152,81 @@ pub fn check_backend(backend: &dyn Backend) {
 /// inputs but record only their own length — byte-identical to
 /// [`c2nn_core::run_batch`] on the same stimuli.
 pub fn check_ragged_batches(backend: &dyn Backend) {
-    let name = backend.name();
     let nl = c2nn_circuits::uart();
-    let opts = backend.compile_options(CompileOptions::with_l(4));
-    let nn = Arc::new(compile(&nl, opts).unwrap());
-    let plan = backend.admit(&nn).unwrap();
-    let pi = nn.num_primary_inputs;
-    let mut rng = Lcg(0x4a66 ^ name.len() as u64);
-    // ragged lengths including an empty testbench
-    let stims: Vec<Stimulus> = [7usize, 0, 12, 3, 12, 1]
-        .iter()
-        .map(|&len| Stimulus {
-            cycles: rng.lanes(len, pi),
-        })
-        .collect();
-    let got = plan.execute_batch(&stims).unwrap();
-    let want = run_batch(&nn, &stims, Device::Serial);
-    assert_eq!(got.len(), want.len());
-    for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
-        assert_eq!(
-            g.cycles, w.cycles,
-            "{name}: ragged batch lane {lane} diverged"
-        );
+    for (cfg, opts) in compile_configs(backend) {
+        let name = format!("{}[{cfg}]", backend.name());
+        let nn = Arc::new(compile(&nl, opts).unwrap());
+        let plan = backend.admit(&nn).unwrap();
+        let pi = nn.num_primary_inputs;
+        let mut rng = Lcg(0x4a66 ^ backend.name().len() as u64);
+        // ragged lengths including an empty testbench
+        let stims: Vec<Stimulus> = [7usize, 0, 12, 3, 12, 1]
+            .iter()
+            .map(|&len| Stimulus {
+                cycles: rng.lanes(len, pi),
+            })
+            .collect();
+        let got = plan.execute_batch(&stims).unwrap();
+        let want = run_batch(&nn, &stims, Device::Serial);
+        assert_eq!(got.len(), want.len());
+        for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.cycles, w.cycles,
+                "{name}: ragged batch lane {lane} diverged"
+            );
+        }
+        // empty batch is a no-op, not an error
+        assert!(plan.execute_batch(&[]).unwrap().is_empty());
     }
-    // empty batch is a no-op, not an error
-    assert!(plan.execute_batch(&[]).unwrap().is_empty());
 }
 
 /// Typed shape errors must be identical across backends (callers match on
 /// them; a backend swap must not change error behavior).
 pub fn check_error_parity(backend: &dyn Backend) {
-    let name = backend.name();
     let nl = c2nn_circuits::uart();
-    let opts = backend.compile_options(CompileOptions::with_l(4));
-    let nn = Arc::new(compile(&nl, opts).unwrap());
-    let plan = backend.admit(&nn).unwrap();
-    let pi = nn.num_primary_inputs;
-    let mut runner = plan.runner();
+    for (cfg, opts) in compile_configs(backend) {
+        let name = format!("{}[{cfg}]", backend.name());
+        let nn = Arc::new(compile(&nl, opts).unwrap());
+        let plan = backend.admit(&nn).unwrap();
+        let pi = nn.num_primary_inputs;
+        let mut runner = plan.runner();
 
-    let mut sessions = vec![Session::new(&nn), Session::new(&nn)];
-    // batch/input mismatch
-    assert_eq!(
-        runner.step(&mut sessions, &[vec![false; pi]]).unwrap_err(),
-        SimError::BatchMismatch {
-            expected: 2,
-            got: 1
-        },
-        "{name}: batch mismatch error shape"
-    );
-    // wrong input width
-    assert_eq!(
-        runner
-            .step(&mut sessions, &[vec![false; pi + 1], vec![false; pi]])
-            .unwrap_err(),
-        SimError::InputWidth {
-            expected: pi,
-            got: pi + 1
-        },
-        "{name}: input width error shape"
-    );
-    // foreign session (state vector from a different model)
-    let other = Arc::new(
-        compile(
-            &c2nn_circuits::generators::counter(3),
-            backend.compile_options(CompileOptions::with_l(4)),
-        )
-        .unwrap(),
-    );
-    let mut foreign = vec![Session::new(&other)];
-    let err = runner.step(&mut foreign, &[vec![false; pi]]).unwrap_err();
-    assert!(
-        matches!(err, SimError::StateWidth { .. }),
-        "{name}: foreign session error shape: {err:?}"
-    );
-    // empty batch steps to an empty output
-    assert_eq!(runner.step(&mut [], &[]).unwrap(), Vec::<Vec<bool>>::new());
+        let mut sessions = vec![Session::new(&nn), Session::new(&nn)];
+        // batch/input mismatch
+        assert_eq!(
+            runner.step(&mut sessions, &[vec![false; pi]]).unwrap_err(),
+            SimError::BatchMismatch {
+                expected: 2,
+                got: 1
+            },
+            "{name}: batch mismatch error shape"
+        );
+        // wrong input width
+        assert_eq!(
+            runner
+                .step(&mut sessions, &[vec![false; pi + 1], vec![false; pi]])
+                .unwrap_err(),
+            SimError::InputWidth {
+                expected: pi,
+                got: pi + 1
+            },
+            "{name}: input width error shape"
+        );
+        // foreign session (state vector from a different model)
+        let other = Arc::new(
+            compile(
+                &c2nn_circuits::generators::counter(3),
+                backend.compile_options(CompileOptions::with_l(4)),
+            )
+            .unwrap(),
+        );
+        let mut foreign = vec![Session::new(&other)];
+        let err = runner.step(&mut foreign, &[vec![false; pi]]).unwrap_err();
+        assert!(
+            matches!(err, SimError::StateWidth { .. }),
+            "{name}: foreign session error shape: {err:?}"
+        );
+        // empty batch steps to an empty output
+        assert_eq!(runner.step(&mut [], &[]).unwrap(), Vec::<Vec<bool>>::new());
+    }
 }

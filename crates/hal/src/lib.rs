@@ -17,8 +17,9 @@
 //! * [`BackendRegistry`] ([`registry`]) — ordered name → backend map with
 //!   calibration-driven selection ([`BackendRegistry::select`]).
 //! * [`DeviceCalibration`] / [`BackendCalibration`] ([`cost`]) — the
-//!   measured per-backend cost model persisted in `results/DEVICE.json`,
-//!   plus the analytic [`DeviceModel`] of the paper's GPU.
+//!   measured per-backend cost model persisted in `results/DEVICE.json`
+//!   (the only cost model the HAL names; the analytic model of the
+//!   paper's GPU lives with the `reproduce` binary in `c2nn-bench`).
 //! * [`calibrate`] — the microbenchmark fit behind `c2nn calibrate`.
 //! * [`conformance`] — the shared bit-exactness suite every backend
 //!   (in-tree or out) must pass.
@@ -34,6 +35,6 @@ pub mod registry;
 pub use backend::{Backend, Manifest, Plan, Reject, RowClassCount, Runner};
 pub use backends::{BitplaneBackend, CsrBackend};
 pub use calibrate::{calibrate, CalibrateOptions};
-pub use cost::{BackendCalibration, DeviceCalibration, DeviceModel};
+pub use cost::{BackendCalibration, DeviceCalibration};
 pub use ragged::{RaggedBatch, SimOutput, Testbench};
 pub use registry::{BackendRegistry, Candidate, Choice, SelectError, Selection};

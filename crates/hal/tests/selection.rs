@@ -3,8 +3,7 @@
 //!
 //! * auto selection is a pure function of (model, calibration, batch) —
 //!   pinning `results/DEVICE.json` pins the decision;
-//! * `DeviceModel` / `DeviceCalibration` survive a JSON round-trip
-//!   bit-exactly;
+//! * `DeviceCalibration` survives a JSON round-trip bit-exactly;
 //! * a backend whose `admit` rejects is skipped and auto falls back to
 //!   the next-best *predicted* backend, not the next registered one.
 //!
@@ -14,8 +13,7 @@
 
 use c2nn_core::{compile, CompileOptions, CompiledNn};
 use c2nn_hal::{
-    Backend, BackendCalibration, BackendRegistry, Choice, DeviceCalibration, DeviceModel, Plan,
-    Reject,
+    Backend, BackendCalibration, BackendRegistry, Choice, DeviceCalibration, Plan, Reject,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -57,8 +55,6 @@ fn entry(backend: &str, unit_per_s: f64, launch_s: f64) -> BackendCalibration {
     }
 }
 
-const NAME_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 ()%._-";
-
 proptest! {
     /// Same calibration numbers, same model, same batch → same winner and
     /// same prediction, across independently constructed registries. This
@@ -98,27 +94,6 @@ proptest! {
             .filter_map(|c| c.predicted_lane_cps)
             .fold(f64::MIN, f64::max);
         prop_assert_eq!(a.predicted_lane_cps, Some(max));
-    }
-
-    /// `DeviceModel` JSON round-trips bit-exactly (the writer uses Rust's
-    /// shortest-round-trip float formatting).
-    #[test]
-    fn device_model_json_round_trips(
-        name_idx in proptest::collection::vec(0usize..NAME_CHARS.len(), 0..40),
-        mantissa in 1u64..1_000_000_000,
-        exp in 0i32..60,
-        launch_ns in 0u64..1_000_000_000,
-    ) {
-        // positive finite f64 spanning ~78 decimal orders of magnitude
-        let mac_per_s = mantissa as f64 * 10f64.powi(exp - 30);
-        let m = DeviceModel {
-            name: name_idx.iter().map(|&i| NAME_CHARS[i] as char).collect(),
-            mac_per_s,
-            launch_s: launch_ns as f64 * 1e-9,
-        };
-        let text = c2nn_json::to_string_pretty(&m);
-        let back: DeviceModel = c2nn_json::from_str(&text).unwrap();
-        prop_assert_eq!(m, back);
     }
 
     /// Full calibration files round-trip through the `--check` codec.

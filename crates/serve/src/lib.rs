@@ -63,7 +63,7 @@ pub use admission::{Admission, AdmitError, Pressure, SimPermit};
 pub use chaos::{Chaos, ChaosConfig, Rng};
 pub use client::{Backoff, Client, ClientError, StatsSnapshot};
 pub use conn::{Completer, Connection, Shared};
-pub use loadgen::{ArrivalMode, LoadReport, LoadgenConfig};
+pub use loadgen::{LoadReport, LoadgenConfig};
 pub use metrics::IoGauges;
 pub use protocol::{
     BackendSelectionReport, BinaryCodec, Codec, Frame, FrameBuffer, FrameLimits, FrameReader,

@@ -1,15 +1,15 @@
-//! Load generation: closed- and open-loop drivers for the serving layer.
+//! Load generation: the open-loop driver for the serving layer.
 //!
-//! The original `c2nn client --clients N --repeat R` driver is a *closed
-//! loop*: each connection waits for its reply before sending again, so a
-//! slow server quietly throttles its own load and the measured latencies
-//! flatter it (coordinated omission). This module keeps that mode (it is
-//! the right tool for saturation benchmarks) and adds an **open loop**:
-//! arrivals are scheduled on a fixed timetable at a target rate, spread
-//! over hundreds of connections, and each request's latency is measured
-//! from its *scheduled* time — a request that waited behind a stalled
-//! predecessor is charged for the wait, which is what a real client would
-//! experience.
+//! `c2nn client --clients N --repeat R` is a *closed loop*: each
+//! connection waits for its reply before sending again, so a slow server
+//! quietly throttles its own load and the measured latencies flatter it
+//! (coordinated omission). This module is the **open loop** behind
+//! `c2nn client --rate`: arrivals are scheduled on a fixed timetable at a
+//! target rate, spread over hundreds of connections, and each request's
+//! latency is measured from its *scheduled* time — a request that waited
+//! behind a stalled predecessor is charged for the wait, which is what a
+//! real client would experience. A shed request is a data point, never
+//! retried.
 //!
 //! Typed rejections are first-class outcomes, not errors: an `Overloaded`
 //! or `DeadlineExceeded` reply is counted in its own bucket (the server
@@ -23,31 +23,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How requests are paced.
-#[derive(Clone, Debug)]
-pub enum ArrivalMode {
-    /// Each connection sends `repeat` requests back-to-back, waiting for
-    /// every reply (closed loop; total = connections × repeat).
-    Closed {
-        /// Requests per connection.
-        repeat: usize,
-    },
-    /// Each connection sends back-to-back for a wall-clock duration
-    /// (closed loop; total depends on service rate).
-    ClosedTimed {
-        /// How long to keep sending.
-        duration: Duration,
-    },
-    /// Arrivals scheduled at `rate` requests/s across all connections for
-    /// `duration`; latency is measured from the scheduled arrival time.
-    Open {
-        /// Target request rate across the whole fleet, req/s.
-        rate: f64,
-        /// How long the schedule runs.
-        duration: Duration,
-    },
-}
-
 /// One load-generation run's parameters.
 #[derive(Clone, Debug)]
 pub struct LoadgenConfig {
@@ -59,12 +34,14 @@ pub struct LoadgenConfig {
     pub stim: String,
     /// Concurrent connections.
     pub connections: usize,
-    /// Pacing discipline.
-    pub mode: ArrivalMode,
+    /// Target request rate across the whole fleet, req/s.
+    pub rate: f64,
+    /// How long the arrival schedule runs.
+    pub duration: Duration,
     /// Optional per-request deadline forwarded to the server.
     pub deadline_ms: Option<u64>,
-    /// Transient-failure retries per request (closed modes only; the open
-    /// loop never retries — a shed request is a data point).
+    /// Connection attempts each worker retries before giving up (requests
+    /// themselves are never retried).
     pub max_retries: u32,
     /// Seed for deterministic backoff jitter.
     pub seed: u64,
@@ -89,7 +66,7 @@ pub struct LoadReport {
     pub shutting_down: u64,
     /// Transport errors and untyped server errors.
     pub failed: u64,
-    /// Transient-failure retries performed (closed modes).
+    /// Connection retries performed.
     pub retries: u64,
     /// Wall-clock run time in seconds.
     pub elapsed_s: f64,
@@ -133,31 +110,17 @@ struct Counters {
 }
 
 impl Counters {
-    /// Bucket one request outcome; returns whether it may be retried.
-    fn record<T>(&self, outcome: &Result<T, ClientError>) -> bool {
+    /// Bucket one request outcome.
+    fn record<T>(&self, outcome: &Result<T, ClientError>) {
         self.sent.fetch_add(1, Ordering::Relaxed);
-        match outcome {
-            Ok(_) => {
-                self.ok.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Err(ClientError::Overloaded { .. }) => {
-                self.overloaded.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(ClientError::DeadlineExceeded) => {
-                self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Err(ClientError::ShuttingDown) => {
-                self.shutting_down.fetch_add(1, Ordering::Relaxed);
-                false
-            }
-            Err(e) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-                e.is_transient()
-            }
-        }
+        let bucket = match outcome {
+            Ok(_) => &self.ok,
+            Err(ClientError::Overloaded { .. }) => &self.overloaded,
+            Err(ClientError::DeadlineExceeded) => &self.deadline_exceeded,
+            Err(ClientError::ShuttingDown) => &self.shutting_down,
+            Err(_) => &self.failed,
+        };
+        bucket.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -211,8 +174,10 @@ pub fn run(cfg: &LoadgenConfig) -> LoadReport {
     }
 }
 
-/// One worker's life: connect, pace requests per the arrival mode, record
-/// latencies (µs). Returns this worker's latency samples.
+/// One worker's life: connect, then send arrivals `k, k+C, k+2C, …` of
+/// the global schedule, each timed from its *scheduled* instant — a request
+/// that starts late (predecessor stalled) is charged its wait, so there is
+/// no coordinated omission. Returns this worker's latency samples (µs).
 fn worker_loop(
     worker_id: usize,
     connections: usize,
@@ -242,80 +207,37 @@ fn worker_loop(
         WireFormat::Json => None,
     };
     let mut latencies = Vec::new();
-    let mut send_one = |client: &mut Option<Client>, anchor: Instant, retry: bool| {
-        let mut attempts = 0u32;
-        loop {
-            let outcome = match client.as_mut() {
-                Some(c) => match &packed {
-                    Some(planes) => c
-                        .sim_packed_with_deadline(&cfg.model, planes, cfg.deadline_ms)
-                        .map(|_| ()),
-                    None => c
-                        .sim_with_deadline(&cfg.model, &cfg.stim, cfg.deadline_ms)
-                        .map(|_| ()),
-                },
-                None => Err(ClientError::Io(std::io::ErrorKind::NotConnected.into())),
-            };
-            if let Err(e) = &outcome {
-                if matches!(e, ClientError::Io(_) | ClientError::Protocol(_)) {
-                    *client = None; // transport is suspect; reconnect
-                }
-            }
-            let transient = counters.record(&outcome);
-            if outcome.is_ok() {
-                let us = anchor.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                latencies.push(us);
-                backoff.reset();
-                return;
-            }
-            if !(retry && transient) || attempts >= cfg.max_retries {
-                return;
-            }
-            attempts += 1;
-            counters.retries.fetch_add(1, Ordering::Relaxed);
-            let hint = outcome.as_ref().err().and_then(ClientError::retry_after);
-            std::thread::sleep(backoff.next_delay(hint));
-            if client.is_none() {
-                if let Ok((c, r)) = Client::connect_with_retry(&cfg.addr, cfg.wire, &mut backoff, 2)
-                {
-                    counters.retries.fetch_add(r as u64, Ordering::Relaxed);
-                    *client = Some(c);
-                }
-            }
+    let rate = cfg.rate.max(1e-6);
+    let mut i = worker_id as u64;
+    loop {
+        let offset = Duration::from_secs_f64(i as f64 / rate);
+        if offset >= cfg.duration {
+            break;
         }
-    };
-    match &cfg.mode {
-        ArrivalMode::Closed { repeat } => {
-            for _ in 0..*repeat {
-                send_one(&mut client, Instant::now(), true);
-            }
+        let scheduled = start + offset;
+        let now = Instant::now();
+        if scheduled > now {
+            std::thread::sleep(scheduled - now);
         }
-        ArrivalMode::ClosedTimed { duration } => {
-            let end = start + *duration;
-            while Instant::now() < end {
-                send_one(&mut client, Instant::now(), true);
-            }
+        let outcome = match client.as_mut() {
+            Some(c) => match &packed {
+                Some(planes) => c
+                    .sim_packed_with_deadline(&cfg.model, planes, cfg.deadline_ms)
+                    .map(|_| ()),
+                None => c
+                    .sim_with_deadline(&cfg.model, &cfg.stim, cfg.deadline_ms)
+                    .map(|_| ()),
+            },
+            None => Err(ClientError::Io(std::io::ErrorKind::NotConnected.into())),
+        };
+        if matches!(outcome, Err(ClientError::Io(_) | ClientError::Protocol(_))) {
+            client = None; // transport is suspect; later arrivals fail fast
         }
-        ArrivalMode::Open { rate, duration } => {
-            // worker k owns arrivals k, k+C, k+2C, ... of the global
-            // schedule; a request that starts late (predecessor stalled)
-            // is charged its wait — no coordinated omission
-            let rate = rate.max(1e-6);
-            let mut i = worker_id as u64;
-            loop {
-                let offset = Duration::from_secs_f64(i as f64 / rate);
-                if offset >= *duration {
-                    break;
-                }
-                let scheduled = start + offset;
-                let now = Instant::now();
-                if scheduled > now {
-                    std::thread::sleep(scheduled - now);
-                }
-                send_one(&mut client, scheduled, false);
-                i += connections as u64;
-            }
+        counters.record(&outcome);
+        if outcome.is_ok() {
+            latencies.push(scheduled.elapsed().as_micros().min(u64::MAX as u128) as u64);
         }
+        i += connections as u64;
     }
     latencies
 }
@@ -355,11 +277,11 @@ mod tests {
     fn typed_outcomes_bucket_correctly() {
         let c = Counters::default();
         let err = |e: ClientError| -> Result<(), ClientError> { Err(e) };
-        assert!(!c.record(&Ok(())));
-        assert!(c.record(&err(ClientError::Overloaded { retry_after_ms: 5 })));
-        assert!(!c.record(&err(ClientError::DeadlineExceeded)));
-        assert!(!c.record(&err(ClientError::ShuttingDown)));
-        assert!(!c.record(&err(ClientError::Server("boom".into()))));
+        c.record(&Ok(()));
+        c.record(&err(ClientError::Overloaded { retry_after_ms: 5 }));
+        c.record(&err(ClientError::DeadlineExceeded));
+        c.record(&err(ClientError::ShuttingDown));
+        c.record(&err(ClientError::Server("boom".into())));
         assert_eq!(c.sent.load(Ordering::Relaxed), 5);
         assert_eq!(c.ok.load(Ordering::Relaxed), 1);
         assert_eq!(c.overloaded.load(Ordering::Relaxed), 1);

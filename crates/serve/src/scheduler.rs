@@ -18,11 +18,17 @@
 //! manufactures runners from its plan — it never knows which backend it
 //! is running.
 //!
-//! The deadline semantics are deliberately *first-job anchored*: the first
-//! request in a batch waits at most `max_wait` beyond its arrival, so a
-//! lone client's latency floor is `max_wait` (tune it near zero for
-//! latency, milliseconds for throughput), while under load the queue
-//! usually fills `max_batch` lanes long before the deadline.
+//! The window is *first-job anchored*: the first request in a batch waits
+//! at most `max_wait` beyond its arrival, so a lone client's latency floor
+//! is `max_wait` (tune it near zero for latency, milliseconds for
+//! throughput). It is also consulted *before* the queue is: a job picked up
+//! after its window has closed — it sat behind the previous batch for longer
+//! than `max_wait` — is dispatched at once with the one lane it holds,
+//! however many jobs are queued behind it. Under sustained load that state
+//! is absorbing (the benchmark's `coalesce_burst`: 64 jobs outstanding,
+//! `serve.scheduler.occupancy` 1.00). The known remedy is to take what is
+//! already queued (`try_recv` up to `max_batch`) and let the window bound
+//! only the *waiting*; ROADMAP item 1 records why it has not landed.
 //!
 //! ## Overload behavior
 //!

@@ -6,8 +6,8 @@
 //! This is the acceptance gate for the binary codec: the packed wire
 //! form is only allowed to change how bits travel, never which bits.
 
-use c2nn_core::{compile, CompileOptions};
-use c2nn_hal::conformance::suite_workloads;
+use c2nn_core::compile;
+use c2nn_hal::conformance::{compile_configs, suite_workloads};
 use c2nn_hal::{BackendRegistry, Choice};
 use c2nn_refsim::CycleSim;
 use c2nn_serve::scheduler::BatchConfig;
@@ -86,10 +86,15 @@ fn every_backend_and_circuit_is_bit_exact_over_both_wires() {
         let mut json = Client::connect(&addr).unwrap();
         let mut binary = Client::connect_wire(&addr, WireFormat::Binary).unwrap();
 
-        for (cname, nl) in suite_workloads() {
-            let label = format!("{backend_name}/{cname}");
-            let opts = backend.compile_options(CompileOptions::with_l(4));
-            let nn = compile(&nl, opts).unwrap_or_else(|e| panic!("{label}: compile: {e}"));
+        // each circuit under every compile configuration the backend is
+        // held to; a later install replaces the earlier one under its name
+        let configs = compile_configs(backend.as_ref());
+        for ((cname, nl), (cfg, opts)) in suite_workloads()
+            .iter()
+            .flat_map(|w| configs.iter().map(move |c| (w, c)))
+        {
+            let label = format!("{backend_name}[{cfg}]/{cname}");
+            let nn = compile(nl, *opts).unwrap_or_else(|e| panic!("{label}: compile: {e}"));
             server
                 .registry()
                 .install(cname, nn)
@@ -97,7 +102,7 @@ fn every_backend_and_circuit_is_bit_exact_over_both_wires() {
 
             // gate-level ground truth
             let lanes = stimulus(nl.inputs.len(), 0xC0DEC ^ cname.len() as u64);
-            let mut sim = CycleSim::new(&nl).unwrap();
+            let mut sim = CycleSim::new(nl).unwrap();
             let expected_bits: Vec<Vec<bool>> = lanes.iter().map(|c| sim.step(c)).collect();
             let expected_text: Vec<String> = expected_bits
                 .iter()

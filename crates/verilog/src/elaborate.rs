@@ -10,7 +10,7 @@
 use crate::ast::*;
 use crate::constexpr::{const_width, eval_const};
 use c2nn_netlist::{collapse_buffers, Net, Netlist, NetlistBuilder, WordOps};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// Elaboration error with instance path context.
@@ -74,7 +74,10 @@ enum Binding {
 }
 
 /// Shadow environment for procedural blocks: signal name → current value.
-type ProcEnv = HashMap<String, Vec<Net>>;
+/// Ordered, because a block's flip-flops and connections are emitted by
+/// iterating it: with a hashed map the netlist — and every compiled model
+/// byte after it — would follow the process's random hash seed.
+type ProcEnv = BTreeMap<String, Vec<Net>>;
 
 struct Elab<'a> {
     mods: HashMap<&'a str, &'a Module>,
@@ -506,7 +509,7 @@ impl<'a> Elab<'a> {
 
     fn elab_always_ff(&mut self, clock: &str, body: &Stmt, sc: &Scope) -> Result<(), ElabError> {
         let clk_id = self.clock_id(clock, sc)?;
-        let mut env: ProcEnv = HashMap::new();
+        let mut env = ProcEnv::new();
         self.walk_stmt(body, &mut env, sc, true)?;
         for (name, next) in env {
             let sig = &sc.signals[&name];
@@ -524,7 +527,7 @@ impl<'a> Elab<'a> {
     }
 
     fn elab_always_comb(&mut self, body: &Stmt, sc: &Scope) -> Result<(), ElabError> {
-        let mut env: ProcEnv = HashMap::new();
+        let mut env = ProcEnv::new();
         self.walk_stmt(body, &mut env, sc, false)?;
         for (name, value) in env {
             let sig = &sc.signals[&name];

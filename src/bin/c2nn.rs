@@ -595,10 +595,8 @@ fn main() {
                         model,
                         stim,
                         connections,
-                        mode: c2nn::serve::ArrivalMode::Open {
-                            rate,
-                            duration: std::time::Duration::from_secs(duration_s),
-                        },
+                        rate,
+                        duration: std::time::Duration::from_secs(duration_s),
                         deadline_ms,
                         max_retries,
                         seed,

@@ -140,3 +140,31 @@ fn aes_network_encrypts_correctly_end_to_end() {
         .collect();
     assert_eq!(ct, reference::encrypt(key, pt).to_vec());
 }
+
+/// Source to model bytes is a function of the source and the options
+/// alone, so a model hash can key a registry or a cache. Every `HashMap` in
+/// one process is seeded differently, so eight builds see eight hash
+/// orders; UART comes through the Verilog frontend, SHA through the
+/// netlist builder.
+#[test]
+fn compile_is_byte_deterministic() {
+    type Build = fn() -> c2nn::netlist::Netlist;
+    let circuits: [(&str, Build); 2] = [
+        ("UART", c2nn::circuits::uart),
+        ("SHA", c2nn::circuits::sha256),
+    ];
+    for (name, build) in circuits {
+        let bytes = || {
+            compile(&build(), CompileOptions::with_l(4))
+                .unwrap()
+                .to_json_string()
+        };
+        let first = bytes();
+        for run in 1..8 {
+            assert!(
+                bytes() == first,
+                "{name}: build+compile #{run} differs from #0"
+            );
+        }
+    }
+}

@@ -15,6 +15,7 @@
 //! count and lane.
 
 use c2nn::core::{compile, BitTensor, CompileOptions, CompiledNn, Session, SimError, Stimulus};
+use c2nn::hal::conformance::compile_configs;
 use c2nn::hal::{Backend, BackendRegistry, Plan};
 use c2nn::netlist::Netlist;
 use c2nn::refsim::CycleSim;
@@ -58,15 +59,27 @@ struct Case {
     plan: Arc<dyn Plan>,
 }
 
-/// Every registered backend with each circuit admitted on it, compiled
-/// the way that backend asks for.
-fn admitted() -> Vec<Case> {
+/// Every registered backend × the compile configurations it is held to
+/// (`hal::conformance::compile_configs`: the default pipeline every
+/// production plan is built from, and the backend's preferred one where
+/// that differs), labelled `backend[config]`.
+fn backends() -> Vec<(String, Arc<dyn Backend>, CompileOptions)> {
     let registry = BackendRegistry::global();
     let mut out = Vec::new();
     for name in registry.names() {
         let backend: &Arc<dyn Backend> = registry.get(name).unwrap();
+        for (cfg, opts) in compile_configs(backend.as_ref()) {
+            out.push((format!("{name}[{cfg}]"), Arc::clone(backend), opts));
+        }
+    }
+    out
+}
+
+/// Each circuit admitted on each of [`backends`].
+fn admitted() -> Vec<Case> {
+    let mut out = Vec::new();
+    for (name, backend, opts) in backends() {
         for (cname, nl) in circuits() {
-            let opts = backend.compile_options(CompileOptions::with_l(4));
             let nn = Arc::new(compile(&nl, opts).unwrap());
             if cname == "fsm" {
                 assert!(nn.state_init.contains(&true), "fsm needs an init-true flop");
@@ -226,16 +239,8 @@ fn as_u32(bits: &[bool]) -> u32 {
 
 #[test]
 fn a_late_joiner_counts_from_zero_beside_a_resumed_lane() {
-    let registry = BackendRegistry::global();
-    for name in registry.names() {
-        let backend = registry.get(name).unwrap();
-        let nn = Arc::new(
-            compile(
-                &c2nn::circuits::generators::counter(4),
-                backend.compile_options(CompileOptions::with_l(4)),
-            )
-            .unwrap(),
-        );
+    for (name, backend, opts) in backends() {
+        let nn = Arc::new(compile(&c2nn::circuits::generators::counter(4), opts).unwrap());
         let plan = backend.admit(&nn).unwrap();
         let mut runner = plan.runner();
         // a lone session counts 5 cycles...
@@ -262,11 +267,8 @@ fn a_late_joiner_counts_from_zero_beside_a_resumed_lane() {
 
 #[test]
 fn shape_errors_are_typed_identical_and_leave_sessions_alone() {
-    let registry = BackendRegistry::global();
     let foreign_nl = c2nn::circuits::generators::counter(3);
-    for name in registry.names() {
-        let backend = registry.get(name).unwrap();
-        let opts = backend.compile_options(CompileOptions::with_l(4));
+    for (name, backend, opts) in backends() {
         let nn = Arc::new(compile(&c2nn::circuits::uart(), opts).unwrap());
         let other = compile(&foreign_nl, opts).unwrap();
         let plan = backend.admit(&nn).unwrap();
