@@ -36,5 +36,5 @@ mod sim;
 
 pub use exec::BitplaneScratch;
 pub use pack::BitTensor;
-pub use plan::{BitLayer, BitplaneError, BitplaneNn, OpCensus, RowClassCensus, RowOp};
+pub use plan::{BitLayer, BitplaneError, BitplaneNn, OpCensus, RowOp};
 pub use sim::BitplaneSimulator;

@@ -24,9 +24,8 @@
 //! popcount comparator (see `exec`), so *any* legal `CompiledNn` — merged
 //! layers, wide gates, hand-built models — runs bit-exactly. When both a
 //! gate form and the counter form are available for a row, the classifier
-//! picks by modeled word-op cost ([`RowOp::modeled_word_ops`]), and the
-//! per-row-class outcome is tallied in a [`RowClassCensus`] surfaced
-//! through the backend's capabilities manifest.
+//! picks by modeled word-op cost ([`RowOp::modeled_word_ops`]); the
+//! outcome is counted per op kind by [`BitplaneNn::op_census`].
 
 use crate::compile::CompiledNn;
 use crate::layer::Activation2;
@@ -147,10 +146,6 @@ pub struct BitplaneNn {
     pub gate_count: usize,
     /// The `L` used for compilation.
     pub lut_size: usize,
-    /// How each source row classified during legalization (tallied once
-    /// in [`BitplaneNn::from_compiled`]; the weight information needed to
-    /// tell a unit gate from a weighted gate is not retained in the ops).
-    pub row_classes: RowClassCensus,
 }
 
 /// Why a network could not be legalized to bit-plane form.
@@ -213,80 +208,12 @@ impl OpCensus {
     }
 }
 
-/// How each source row classified during legalization, by *provenance*
-/// rather than resulting op kind: a gate op produced by the weight-aware
-/// classifier from a non-±1 row counts separately from one produced from
-/// unit weights, so the capabilities manifest can report how much of a
-/// model the cheap paths actually cover.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RowClassCensus {
-    /// Constant, copy, and inverter rows.
-    pub trivial: u64,
-    /// Gate ops from unit-weight rows (the common case on the unmerged
-    /// pipeline).
-    pub unit_gate: u64,
-    /// Gate ops recovered from non-±1 rows by the weight-aware
-    /// classifier — rows that would previously have fallen back to the
-    /// counter path.
-    pub weighted_gate: u64,
-    /// XOR/parity rows (0/1-valued linear rows).
-    pub parity: u64,
-    /// Bit-sliced-counter fallback rows ([`RowOp::Weighted`]).
-    pub counter: u64,
-}
-
-impl RowClassCensus {
-    /// Total classified rows.
-    pub fn total(&self) -> u64 {
-        self.trivial + self.unit_gate + self.weighted_gate + self.parity + self.counter
-    }
-
-    /// Fraction of rows on the cheap word-op paths (everything but the
-    /// counter fallback); 1.0 for an empty program.
-    pub fn coverage(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            1.0
-        } else {
-            (total - self.counter) as f64 / total as f64
-        }
-    }
-
-    /// `(class name, rows)` pairs in a fixed order, for manifests and
-    /// reports.
-    pub fn entries(&self) -> [(&'static str, u64); 5] {
-        [
-            ("trivial", self.trivial),
-            ("unit-gate", self.unit_gate),
-            ("weighted-gate", self.weighted_gate),
-            ("parity", self.parity),
-            ("counter", self.counter),
-        ]
-    }
-
-    fn tally(&mut self, op: &RowOp, weights: &[(u32, i64)]) {
-        match op {
-            RowOp::Const(_) | RowOp::Copy(_) | RowOp::Not(_) => self.trivial += 1,
-            RowOp::And(_) | RowOp::Nand(_) | RowOp::Or(_) | RowOp::Nor(_) => {
-                if weights.iter().all(|&(_, w)| w.abs() == 1) {
-                    self.unit_gate += 1;
-                } else {
-                    self.weighted_gate += 1;
-                }
-            }
-            RowOp::Xor { .. } => self.parity += 1,
-            RowOp::Weighted { .. } => self.counter += 1,
-        }
-    }
-}
-
 impl BitplaneNn {
     /// Legalize a compiled network to bit-plane form. Exact for every
     /// network that passes `CompiledNn::validate` (integral weights within
     /// the scalar's exact range); fails with a typed error otherwise.
     pub fn from_compiled<T: Scalar>(nn: &CompiledNn<T>) -> Result<Self, BitplaneError> {
         let mut layers = Vec::with_capacity(nn.layers.len());
-        let mut row_classes = RowClassCensus::default();
         for (li, layer) in nn.layers.iter().enumerate() {
             let mut ops = Vec::with_capacity(layer.weights.rows());
             let mut row: Vec<(u32, i64)> = Vec::new();
@@ -299,9 +226,7 @@ impl BitplaneNn {
                     }
                 }
                 let bias = exact_i64(layer.bias[r], li, r)?;
-                let op = classify(&row, bias, layer.activation);
-                row_classes.tally(&op, &row);
-                ops.push(op);
+                ops.push(classify(&row, bias, layer.activation));
             }
             layers.push(BitLayer {
                 in_width: layer.weights.cols(),
@@ -309,7 +234,6 @@ impl BitplaneNn {
             });
         }
         Ok(BitplaneNn {
-            row_classes,
             name: nn.name.clone(),
             layers,
             num_primary_inputs: nn.num_primary_inputs,
@@ -354,7 +278,7 @@ impl BitplaneNn {
     /// Summed modeled word-op cost per output word, split into
     /// `(cheap, weighted)` units: cheap covers the plain word-op paths
     /// (constants, copies, gates, parities), weighted the bit-sliced
-    /// counter fallback. The backend HAL feeds these into the calibrated
+    /// counter fallback. The backend HAL feeds these into its
     /// cost model to predict cycles/s per batch size.
     pub fn modeled_units(&self) -> (f64, f64) {
         let mut cheap = 0u64;
@@ -645,7 +569,7 @@ mod tests {
     }
 
     #[test]
-    fn census_separates_unit_from_weighted_gates() {
+    fn op_census_counts_gates_and_counter_rows() {
         use c2nn_tensor::Csr;
         // one layer: a unit AND, a weighted OR, and a counter row
         let rows: &[(Vec<(u32, f32)>, f32)] = &[
@@ -674,12 +598,9 @@ mod tests {
             lut_size: 2,
         };
         let plan = BitplaneNn::from_compiled(&nn).unwrap();
-        let census = plan.row_classes;
-        assert_eq!(census.unit_gate, 1);
-        assert_eq!(census.weighted_gate, 1);
-        assert_eq!(census.counter, 1);
+        let census = plan.op_census();
+        assert_eq!((census.ands, census.ors, census.weighted), (1, 1, 1));
         assert_eq!(census.total(), 3);
-        assert!((census.coverage() - 2.0 / 3.0).abs() < 1e-12);
         let (cheap, weighted) = plan.modeled_units();
         assert!(cheap > 0.0 && weighted > 0.0);
     }

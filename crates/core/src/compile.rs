@@ -30,7 +30,7 @@ pub struct CompileOptions {
     /// Which optimization passes run between lowering and legalization
     /// (always in canonical order). The merge ablation is
     /// `PassSet::all().without(PassId::LayerMerge)` — also the pass set
-    /// the bit-plane backend's `compile_options` asks for.
+    /// under which the bit-plane backend legalizes popcount-free.
     pub passes: PassSet,
 }
 

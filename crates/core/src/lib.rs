@@ -55,7 +55,7 @@ pub mod sim;
 pub mod testbench;
 pub mod validate;
 
-pub use bitplane::{BitTensor, BitplaneError, BitplaneNn, BitplaneSimulator, RowClassCensus};
+pub use bitplane::{BitTensor, BitplaneError, BitplaneNn, BitplaneSimulator};
 pub use compile::{
     compile, compile_as, compile_graph, compile_graph_with_report, compile_with_report,
     CompileError, CompileOptions, CompiledNn,

@@ -55,7 +55,7 @@ fn suite() -> Vec<(&'static str, Netlist)> {
 }
 
 /// The pass set the bit-plane backend prefers: everything but layer-merge
-/// (what the HAL's bitplane backend asks for in `compile_options`).
+/// (the HAL conformance suite's `unmerged` configuration).
 fn unmerged() -> PassSet {
     PassSet::all().without(PassId::LayerMerge)
 }

@@ -18,9 +18,7 @@
 //! batcher thread.
 
 use crate::ragged::{RaggedBatch, Testbench};
-use c2nn_core::{
-    BenchResult, BitTensor, CompileOptions, CompiledNn, Session, SimError, StepShape, Stimulus,
-};
+use c2nn_core::{BenchResult, BitTensor, CompiledNn, Session, SimError, StepShape, Stimulus};
 use std::fmt;
 use std::sync::Arc;
 
@@ -45,19 +43,8 @@ impl fmt::Display for Reject {
 
 impl std::error::Error for Reject {}
 
-/// One row-class entry of a capabilities manifest.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RowClassCount {
-    /// Class name (e.g. `unit-gate`, `counter`).
-    pub class: String,
-    /// Rows in this class.
-    pub rows: u64,
-}
-
-c2nn_json::json_struct!(RowClassCount { class, rows });
-
-/// What an admitted plan looks like to the cost model: the work shape the
-/// calibrated [`BackendCalibration`](crate::BackendCalibration) prices.
+/// What an admitted plan looks like to the cost model: the work shape a
+/// [`BackendCalibration`](crate::BackendCalibration) prices.
 ///
 /// The two-term kernel model (a launch term plus work at a sustained rate):
 ///
@@ -81,21 +68,9 @@ pub struct Manifest {
     /// Work units per word-column on the backend's cheap path.
     pub cheap_units: f64,
     /// Work units per word-column on the backend's expensive path
-    /// (priced at the calibrated `weighted_unit_factor`).
+    /// (priced at the table's `weighted_unit_factor`).
     pub weighted_units: f64,
-    /// Per-row-class legalization counts (empty when the backend has a
-    /// single row class).
-    pub row_classes: Vec<RowClassCount>,
 }
-
-c2nn_json::json_struct!(Manifest {
-    backend,
-    lanes_per_word,
-    layers,
-    cheap_units,
-    weighted_units,
-    row_classes,
-});
 
 /// A stepping engine over a plan. The required methods are the engine's
 /// one state-feedback loop: a fixed set of lanes whose recurrent state
@@ -221,18 +196,10 @@ pub trait Backend: Send + Sync {
     /// Canonical registry name (`scalar`, `pooled-csr`, `bitplane`, ...).
     fn name(&self) -> &'static str;
 
-    /// Adjust compile options for models compiled *for* this backend
-    /// (the bit-plane backend drops layer-merge so the unmerged pipeline
-    /// legalizes popcount-free). Admission must still accept models
-    /// compiled with any options: no CLI, serve or benchmark path calls
-    /// this — they compile with the defaults and then select — so the
-    /// conformance suite holds a backend to both pipelines
-    /// ([`compile_configs`](crate::conformance::compile_configs)).
-    fn compile_options(&self, base: CompileOptions) -> CompileOptions {
-        base
-    }
-
     /// Admit a compiled network: legalize it for this engine and return
-    /// the costed plan, or a typed refusal.
+    /// the costed plan, or a typed refusal. Admission must accept models
+    /// compiled with any options — callers compile once and then select —
+    /// and the conformance suite holds every backend to that
+    /// ([`compile_configs`](crate::conformance::compile_configs)).
     fn admit(&self, nn: &Arc<CompiledNn<f32>>) -> Result<Arc<dyn Plan>, Reject>;
 }

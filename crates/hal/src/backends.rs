@@ -14,12 +14,9 @@
 //! A runner *is* the engine's fixed-batch simulator: `Simulator<f32>` for
 //! the CSR backends, `BitplaneSimulator` for the packed one.
 
-use crate::backend::{Backend, Manifest, Plan, Reject, RowClassCount, Runner};
+use crate::backend::{Backend, Manifest, Plan, Reject, Runner};
 use c2nn_core::bitplane::BitplaneNn;
-use c2nn_core::{
-    BitTensor, BitplaneSimulator, CompileOptions, CompiledNn, PassId, SimError, Simulator,
-    StepShape,
-};
+use c2nn_core::{BitTensor, BitplaneSimulator, CompiledNn, SimError, Simulator, StepShape};
 use c2nn_tensor::Device;
 use std::sync::Arc;
 
@@ -121,7 +118,6 @@ impl Backend for CsrBackend {
             // one MAC per nonzero weight per lane per cycle
             cheap_units: nn.connections() as f64,
             weighted_units: 0.0,
-            row_classes: Vec::new(),
         };
         Ok(Arc::new(CsrPlan {
             backend: self.name,
@@ -134,7 +130,14 @@ impl Backend for CsrBackend {
 
 /// The packed-bitplane backend: 64 stimuli per word; admission legalizes
 /// the network to a [`BitplaneNn`] (typed refusal for non-integral
-/// weights) and prices the result row class by row class.
+/// weights) and prices its gate ops and counter rows separately.
+///
+/// Any compiled network is admitted, but the pass set decides what it
+/// costs: layer-merge trades depth for dense integer rows — a win for CSR
+/// arithmetic — and those rows force the executor into its counter
+/// fallback ([`RowOp::Weighted`](c2nn_core::bitplane::RowOp)), whereas the
+/// unmerged threshold/linear alternation legalizes popcount-free, to
+/// single word ops per neuron.
 pub struct BitplaneBackend;
 
 struct BitplanePlan {
@@ -166,15 +169,6 @@ impl Backend for BitplaneBackend {
         "bitplane"
     }
 
-    /// Drop layer-merge: merging trades depth for dense integer rows — a
-    /// win for CSR arithmetic, but it forces the bit-plane executor into
-    /// its counter fallback, whereas the unmerged threshold/linear
-    /// alternation legalizes to single word ops per neuron.
-    fn compile_options(&self, base: CompileOptions) -> CompileOptions {
-        let passes = base.passes.without(PassId::LayerMerge);
-        base.with_passes(passes)
-    }
-
     fn admit(&self, nn: &Arc<CompiledNn<f32>>) -> Result<Arc<dyn Plan>, Reject> {
         if nn.layers.is_empty() {
             return Err(Reject {
@@ -187,22 +181,12 @@ impl Backend for BitplaneBackend {
             reason: e.to_string(),
         })?;
         let (cheap_units, weighted_units) = program.modeled_units();
-        let row_classes = program
-            .row_classes
-            .entries()
-            .iter()
-            .map(|&(class, rows)| RowClassCount {
-                class: class.to_string(),
-                rows,
-            })
-            .collect();
         let manifest = Manifest {
             backend: "bitplane".to_string(),
             lanes_per_word: 64,
             layers: program.num_layers() as u64,
             cheap_units,
             weighted_units,
-            row_classes,
         };
         Ok(Arc::new(BitplanePlan {
             nn: Arc::clone(nn),

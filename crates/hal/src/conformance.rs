@@ -16,7 +16,9 @@
 //! `#[test]` wrappers; see `crates/hal/tests/conformance.rs`).
 
 use crate::backend::Backend;
-use c2nn_core::{compile, run_batch, CompileOptions, Session, SimError, Simulator, Stimulus};
+use c2nn_core::{
+    compile, run_batch, CompileOptions, PassId, Session, SimError, Simulator, Stimulus,
+};
 use c2nn_netlist::Netlist;
 use c2nn_refsim::CycleSim;
 use c2nn_tensor::{Dense, Device};
@@ -56,20 +58,17 @@ pub fn suite_workloads() -> Vec<(&'static str, Netlist)> {
         .collect()
 }
 
-/// The compile configurations a backend is held to, labelled: `default` —
-/// what `c2nn sim/bench/serve`, the model registry and the benchmark all
-/// build before they `select`, so what every production plan is made of
-/// (for bit-plane: the merged network with `Weighted` rows) — and the
-/// backend's own `preferred` pipeline where [`Backend::compile_options`]
-/// asks for a different one.
-pub fn compile_configs(backend: &dyn Backend) -> Vec<(&'static str, CompileOptions)> {
+/// The compile configurations every backend is held to, labelled:
+/// `default` — what `c2nn sim/bench/serve`, the model registry and the
+/// benchmark all build before they `select`, so what every production plan
+/// is made of (for bit-plane: the merged network with `Weighted` rows) —
+/// and `unmerged`, the same without layer-merge (for bit-plane: the
+/// popcount-free gate path). Admission accepts models compiled with any
+/// options, so both are applied to every backend.
+pub fn compile_configs() -> [(&'static str, CompileOptions); 2] {
     let default = CompileOptions::with_l(4);
-    let preferred = backend.compile_options(default);
-    let mut configs = vec![("default", default)];
-    if preferred.passes != default.passes {
-        configs.push(("preferred", preferred));
-    }
-    configs
+    let unmerged = default.with_passes(default.passes.without(PassId::LayerMerge));
+    [("default", default), ("unmerged", unmerged)]
 }
 
 /// Lanes per batch that also get an independent gate-level refsim (refsim
@@ -86,7 +85,7 @@ const BATCH: usize = 67;
 /// Run the full conformance contract against one backend. Panics with a
 /// labeled message on any divergence.
 pub fn check_backend(backend: &dyn Backend) {
-    let configs = compile_configs(backend);
+    let configs = compile_configs();
     for ((cname, nl), (cfg, opts)) in suite_workloads()
         .iter()
         .flat_map(|w| configs.iter().map(move |c| (w, c)))
@@ -153,7 +152,7 @@ pub fn check_backend(backend: &dyn Backend) {
 /// [`c2nn_core::run_batch`] on the same stimuli.
 pub fn check_ragged_batches(backend: &dyn Backend) {
     let nl = c2nn_circuits::uart();
-    for (cfg, opts) in compile_configs(backend) {
+    for (cfg, opts) in compile_configs() {
         let name = format!("{}[{cfg}]", backend.name());
         let nn = Arc::new(compile(&nl, opts).unwrap());
         let plan = backend.admit(&nn).unwrap();
@@ -184,7 +183,7 @@ pub fn check_ragged_batches(backend: &dyn Backend) {
 /// them; a backend swap must not change error behavior).
 pub fn check_error_parity(backend: &dyn Backend) {
     let nl = c2nn_circuits::uart();
-    for (cfg, opts) in compile_configs(backend) {
+    for (cfg, opts) in compile_configs() {
         let name = format!("{}[{cfg}]", backend.name());
         let nn = Arc::new(compile(&nl, opts).unwrap());
         let plan = backend.admit(&nn).unwrap();
@@ -213,13 +212,7 @@ pub fn check_error_parity(backend: &dyn Backend) {
             "{name}: input width error shape"
         );
         // foreign session (state vector from a different model)
-        let other = Arc::new(
-            compile(
-                &c2nn_circuits::generators::counter(3),
-                backend.compile_options(CompileOptions::with_l(4)),
-            )
-            .unwrap(),
-        );
+        let other = Arc::new(compile(&c2nn_circuits::generators::counter(3), opts).unwrap());
         let mut foreign = vec![Session::new(&other)];
         let err = runner.step(&mut foreign, &[vec![false; pi]]).unwrap_err();
         assert!(

@@ -1,10 +1,11 @@
-//! The calibrated cost model: per-backend throughput parameters measured
-//! by `c2nn calibrate`, persisted to `results/DEVICE.json`, and consulted
-//! by the registry to pick a backend under `--backend auto`.
+//! The cost model the registry consults to pick a backend under
+//! `--backend auto`: a built-in table of per-backend throughput
+//! parameters ([`DeviceCalibration::default_host`]). Nothing is measured
+//! at run time and nothing is read from disk, so the pick is a pure
+//! function of the admitted plans and the lane count.
 //!
-//! [`BackendCalibration`] / [`DeviceCalibration`] hold *measured* numbers
-//! for the backends this host actually runs, pricing the generalized work
-//! units a backend's [`Manifest`](crate::Manifest) reports:
+//! [`BackendCalibration`] prices the generalized work units a backend's
+//! [`Manifest`](crate::Manifest) reports:
 //!
 //! ```text
 //! t_cycle(batch) = layers × launch_s
@@ -15,12 +16,11 @@
 //! For a CSR backend (`lanes_per_word` = 1, `cheap` = nnz, no weighted
 //! units) this is a launch term plus MACs at a sustained rate; the
 //! bit-plane backend amortizes a word-op stream over 64 lanes, with its
-//! counter rows priced at a calibrated premium.
+//! counter rows priced at a premium.
 
 use crate::backend::Manifest;
-use c2nn_json::json_struct;
 
-/// Measured throughput parameters for one backend on this host.
+/// Throughput parameters for one backend.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BackendCalibration {
     /// Registry name of the backend these numbers describe.
@@ -33,19 +33,7 @@ pub struct BackendCalibration {
     /// Relative cost of one weighted (expensive-path) unit in cheap
     /// units. 1.0 when the backend has a single path.
     pub weighted_unit_factor: f64,
-    /// Fraction of suite rows the backend legalized onto its cheap path
-    /// during calibration (1.0 for single-path backends). Informational:
-    /// reported by `c2nn calibrate`, not used for prediction — the
-    /// per-model manifest already carries the model's own split.
-    pub coverage: f64,
 }
-json_struct!(BackendCalibration {
-    backend,
-    unit_per_s,
-    launch_s,
-    weighted_unit_factor,
-    coverage,
-});
 
 impl BackendCalibration {
     /// Predicted seconds for one batched forward pass of a plan with the
@@ -63,57 +51,45 @@ impl BackendCalibration {
     }
 }
 
-/// A full device calibration: what `results/DEVICE.json` holds.
+/// The cost table selection runs against: one entry per priced backend.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DeviceCalibration {
-    /// Host description (free-form).
+    /// Label of the table (free-form; shown in reports).
     pub device: String,
-    /// Worker-pool threads at calibration time.
+    /// Worker-pool threads of the host the table is used on.
     pub threads: u64,
-    /// Whether this was a `--quick` (reduced-workload) calibration.
-    pub quick: bool,
-    /// One entry per calibrated backend.
+    /// One entry per priced backend.
     pub backends: Vec<BackendCalibration>,
 }
-json_struct!(DeviceCalibration {
-    device,
-    threads,
-    quick,
-    backends
-});
 
 impl DeviceCalibration {
-    /// Conservative built-in defaults used when no `results/DEVICE.json`
-    /// exists: plausible single-host numbers that preserve the expected
-    /// ordering (bit-plane ≫ pooled CSR ≫ scalar at batch, scalar best at
-    /// batch 1 on tiny models). Run `c2nn calibrate` to replace them with
-    /// measured values.
+    /// The built-in table every `--backend auto` decision uses: plausible
+    /// single-host numbers that preserve the expected ordering (bit-plane
+    /// ≫ pooled CSR ≫ scalar at batch, scalar best at batch 1 on tiny
+    /// models). The numbers do not depend on `threads`; `--backend <name>`
+    /// overrides the pick.
     pub fn default_host(threads: usize) -> Self {
         DeviceCalibration {
-            device: "built-in defaults (run `c2nn calibrate`)".to_string(),
+            device: "built-in defaults".to_string(),
             threads: threads as u64,
-            quick: false,
             backends: vec![
                 BackendCalibration {
                     backend: "scalar".to_string(),
                     unit_per_s: 2e8,
                     launch_s: 2e-7,
                     weighted_unit_factor: 1.0,
-                    coverage: 1.0,
                 },
                 BackendCalibration {
                     backend: "pooled-csr".to_string(),
                     unit_per_s: 8e8,
                     launch_s: 1e-5,
                     weighted_unit_factor: 1.0,
-                    coverage: 1.0,
                 },
                 BackendCalibration {
                     backend: "bitplane".to_string(),
                     unit_per_s: 2e9,
                     launch_s: 1e-5,
                     weighted_unit_factor: 1.5,
-                    coverage: 1.0,
                 },
             ],
         }
@@ -123,84 +99,11 @@ impl DeviceCalibration {
     pub fn for_backend(&self, name: &str) -> Option<&BackendCalibration> {
         self.backends.iter().find(|b| b.backend == name)
     }
-
-    /// Structural sanity for loaded files: every entry must carry finite
-    /// positive rates and a sane coverage fraction. Returns the offending
-    /// description on failure (used by `c2nn calibrate --check`).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.backends.is_empty() {
-            return Err("calibration lists no backends".to_string());
-        }
-        for b in &self.backends {
-            if b.backend.is_empty() {
-                return Err("calibration entry with empty backend name".to_string());
-            }
-            if !(b.unit_per_s.is_finite() && b.unit_per_s > 0.0) {
-                return Err(format!(
-                    "backend `{}`: unit_per_s must be finite and > 0",
-                    b.backend
-                ));
-            }
-            if !(b.launch_s.is_finite() && b.launch_s >= 0.0) {
-                return Err(format!(
-                    "backend `{}`: launch_s must be finite and >= 0",
-                    b.backend
-                ));
-            }
-            if !(b.weighted_unit_factor.is_finite() && b.weighted_unit_factor > 0.0) {
-                return Err(format!(
-                    "backend `{}`: weighted_unit_factor must be finite and > 0",
-                    b.backend
-                ));
-            }
-            if !(0.0..=1.0).contains(&b.coverage) {
-                return Err(format!(
-                    "backend `{}`: coverage must be in [0, 1]",
-                    b.backend
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Parse and validate a calibration from JSON text.
-    pub fn from_json_text(text: &str) -> Result<Self, String> {
-        let cal: Self = c2nn_json::from_str(text).map_err(|e| e.to_string())?;
-        cal.validate()?;
-        Ok(cal)
-    }
-
-    /// Serialize to pretty-printed JSON text.
-    pub fn to_json_text(&self) -> String {
-        c2nn_json::to_string_pretty(self)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn default_host_validates_and_round_trips() {
-        let cal = DeviceCalibration::default_host(8);
-        cal.validate().unwrap();
-        let text = cal.to_json_text();
-        let back = DeviceCalibration::from_json_text(&text).unwrap();
-        assert_eq!(cal, back);
-    }
-
-    #[test]
-    fn validate_rejects_broken_entries() {
-        let mut cal = DeviceCalibration::default_host(8);
-        cal.backends[0].unit_per_s = 0.0;
-        assert!(cal.validate().is_err());
-        let mut cal = DeviceCalibration::default_host(8);
-        cal.backends[1].coverage = 1.5;
-        assert!(cal.validate().is_err());
-        let mut cal = DeviceCalibration::default_host(8);
-        cal.backends.clear();
-        assert!(cal.validate().is_err());
-    }
 
     #[test]
     fn lane_rate_amortizes_over_word_lanes() {
@@ -209,7 +112,6 @@ mod tests {
             unit_per_s: 1e9,
             launch_s: 0.0,
             weighted_unit_factor: 2.0,
-            coverage: 1.0,
         };
         let m = Manifest {
             backend: "bitplane".to_string(),
@@ -217,7 +119,6 @@ mod tests {
             layers: 4,
             cheap_units: 100.0,
             weighted_units: 10.0,
-            row_classes: Vec::new(),
         };
         // one word of 64 lanes costs the same as one lane
         let t1 = cal.cycle_seconds_for(&m, 1);

@@ -1,7 +1,7 @@
 //! # c2nn-hal — the backend hardware-abstraction layer
 //!
 //! Pluggable execution backends behind one trait contract, with a
-//! calibrated cost model driving `--backend auto` (DESIGN.md §14).
+//! built-in cost table driving `--backend auto` (DESIGN.md §14).
 //!
 //! The pieces:
 //!
@@ -15,26 +15,25 @@
 //! * [`backends`] — the three built-in engines: `scalar`, `pooled-csr`,
 //!   and `bitplane`.
 //! * [`BackendRegistry`] ([`registry`]) — ordered name → backend map with
-//!   calibration-driven selection ([`BackendRegistry::select`]).
+//!   table-driven selection ([`BackendRegistry::select`]).
 //! * [`DeviceCalibration`] / [`BackendCalibration`] ([`cost`]) — the
-//!   measured per-backend cost model persisted in `results/DEVICE.json`
-//!   (the only cost model the HAL names; the analytic model of the
-//!   paper's GPU lives with the `reproduce` binary in `c2nn-bench`).
-//! * [`calibrate`] — the microbenchmark fit behind `c2nn calibrate`.
+//!   per-backend cost table, built in
+//!   ([`DeviceCalibration::default_host`]): selection is a pure function
+//!   of the admitted plans and the lane count (the only cost model the
+//!   HAL names; the analytic model of the paper's GPU lives with the
+//!   `reproduce` binary in `c2nn-bench`).
 //! * [`conformance`] — the shared bit-exactness suite every backend
 //!   (in-tree or out) must pass.
 
 pub mod backend;
 pub mod backends;
-pub mod calibrate;
 pub mod conformance;
 pub mod cost;
 pub mod ragged;
 pub mod registry;
 
-pub use backend::{Backend, Manifest, Plan, Reject, RowClassCount, Runner};
+pub use backend::{Backend, Manifest, Plan, Reject, Runner};
 pub use backends::{BitplaneBackend, CsrBackend};
-pub use calibrate::{calibrate, CalibrateOptions};
 pub use cost::{BackendCalibration, DeviceCalibration};
 pub use ragged::{RaggedBatch, SimOutput, Testbench};
 pub use registry::{BackendRegistry, Candidate, Choice, SelectError, Selection};

@@ -1,12 +1,13 @@
 //! The process-wide backend registry and `--backend auto` selection.
 //!
-//! Selection is *calibration-driven*: the registry admits the model on
-//! every calibrated backend, asks each calibration entry to predict
+//! Selection is *table-driven*: the registry admits the model on every
+//! backend the [`DeviceCalibration`] prices, asks each entry to predict
 //! lane-cycles/s at the expected batch width, and picks the strict
-//! maximum. There is no hard-coded preference order — swap the numbers in
-//! `results/DEVICE.json` and the winner changes. Ties break toward
-//! earlier registration, which (with a pinned calibration file) makes the
-//! decision fully deterministic.
+//! maximum. There is no hard-coded preference order — hand `select` a
+//! table with other numbers and the winner changes — and no input besides
+//! its arguments: every caller passes the built-in
+//! [`DeviceCalibration::default_host`], so the pick is a pure function of
+//! (plan, lanes). Ties break toward earlier registration.
 
 use crate::backend::{Backend, Plan, Reject};
 use crate::backends::{BitplaneBackend, CsrBackend};
@@ -18,7 +19,7 @@ use std::sync::{Arc, OnceLock};
 /// How the caller wants a backend chosen.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Choice {
-    /// Let the calibrated cost model pick the fastest admitting backend.
+    /// Let the cost model pick the fastest admitting backend.
     Auto,
     /// Require this backend by registry name; admission failure is an
     /// error, not a fallback.
@@ -48,7 +49,7 @@ impl fmt::Display for Choice {
 }
 
 /// One backend's fate during a selection pass (kept for observability:
-/// `c2nn serve` stats and `--verbose` sim output show these).
+/// `c2nn sim/bench` print one line per candidate).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Candidate {
     /// Backend name.
@@ -235,9 +236,7 @@ impl BackendRegistry {
                                 predicted_lane_cps: Some(cps),
                                 skipped: None,
                             });
-                            // strict > keeps ties on the earliest
-                            // registration: deterministic given a pinned
-                            // calibration file
+                            // strict > keeps ties on the earliest registration
                             if best.as_ref().is_none_or(|(b, _, _)| cps > *b) {
                                 best = Some((cps, plan, name.to_string()));
                             }

@@ -1,9 +1,8 @@
-//! Property tests for `--backend auto` selection and the calibration
-//! codec:
+//! Property tests for `--backend auto` selection on hand-built tables
+//! (what the built-in table picks on the suite is pinned by the root
+//! `tests/state_feedback.rs`):
 //!
-//! * auto selection is a pure function of (model, calibration, batch) —
-//!   pinning `results/DEVICE.json` pins the decision;
-//! * `DeviceCalibration` survives a JSON round-trip bit-exactly;
+//! * auto selection is a pure function of (model, table, batch);
 //! * a backend whose `admit` rejects is skipped and auto falls back to
 //!   the next-best *predicted* backend, not the next registered one.
 //!
@@ -28,7 +27,7 @@ fn model() -> Arc<CompiledNn<f32>> {
     )
 }
 
-/// A backend that refuses every model — the shape of a calibrated-but-
+/// A backend that refuses every model — the shape of a priced-but-
 /// incompatible engine (e.g. bit-plane legalization failure).
 struct RejectingBackend;
 
@@ -51,14 +50,12 @@ fn entry(backend: &str, unit_per_s: f64, launch_s: f64) -> BackendCalibration {
         unit_per_s,
         launch_s,
         weighted_unit_factor: 1.0,
-        coverage: 1.0,
     }
 }
 
 proptest! {
-    /// Same calibration numbers, same model, same batch → same winner and
-    /// same prediction, across independently constructed registries. This
-    /// is the determinism contract behind committing `results/DEVICE.json`.
+    /// Same table, same model, same batch → same winner and same
+    /// prediction, across independently constructed registries.
     #[test]
     fn auto_selection_is_deterministic_given_pinned_calibration(
         scalar_rate in 1u64..1_000_000,
@@ -70,7 +67,6 @@ proptest! {
         let cal = DeviceCalibration {
             device: "pinned".to_string(),
             threads: 1,
-            quick: false,
             backends: vec![
                 entry("scalar", scalar_rate as f64 * 1e6, launch_ns as f64 * 1e-9),
                 entry("pooled-csr", pooled_rate as f64 * 1e6, launch_ns as f64 * 1e-9),
@@ -96,37 +92,6 @@ proptest! {
         prop_assert_eq!(a.predicted_lane_cps, Some(max));
     }
 
-    /// Full calibration files round-trip through the `--check` codec.
-    #[test]
-    fn device_calibration_round_trips(
-        rates in proptest::collection::vec(1u64..1_000_000_000, 1..5),
-        launch_ns in 0u64..1_000_000_000,
-        factor_q in 1u64..64,
-        coverage_q in 0u64..=1000,
-        threads in 1u64..256,
-        quick in any::<bool>(),
-    ) {
-        let cal = DeviceCalibration {
-            device: "round-trip host".to_string(),
-            threads,
-            quick,
-            backends: rates
-                .iter()
-                .enumerate()
-                .map(|(i, &r)| BackendCalibration {
-                    backend: format!("backend-{i}"),
-                    unit_per_s: r as f64 * 1e3,
-                    launch_s: launch_ns as f64 * 1e-9,
-                    weighted_unit_factor: factor_q as f64 * 0.25,
-                    coverage: coverage_q as f64 / 1000.0,
-                })
-                .collect(),
-        };
-        cal.validate().unwrap();
-        let back = DeviceCalibration::from_json_text(&cal.to_json_text()).unwrap();
-        prop_assert_eq!(cal, back);
-    }
-
     /// A rejecting backend with the best predicted rate never wins: auto
     /// falls back to the best *admitting* backend and records why the
     /// rejector was skipped.
@@ -144,9 +109,8 @@ proptest! {
         let cal = DeviceCalibration {
             device: "fallback".to_string(),
             threads: 1,
-            quick: false,
             backends: vec![
-                // the rejector is calibrated as by far the fastest engine
+                // the rejector is priced as by far the fastest engine
                 entry("rejector", rejector_rate as f64 * 1e12, 0.0),
                 entry("scalar", scalar_rate as f64 * 1e6, 1e-7),
                 entry("pooled-csr", pooled_rate as f64 * 1e6, 1e-7),
@@ -184,29 +148,4 @@ fn named_rejecting_backend_is_an_error() {
         .err()
         .unwrap();
     assert!(matches!(err, c2nn_hal::SelectError::Rejected(_)), "{err:?}");
-}
-
-/// The ISSUE acceptance shape: with the committed default calibration, a
-/// bit-plane-legalizable suite model served at the default batch width
-/// auto-selects the bit-plane engine — and the decision is
-/// calibration-driven, not a hard-coded preference order.
-#[test]
-fn suite_model_auto_selects_bitplane_at_serving_batch() {
-    let nn = Arc::new(compile(&c2nn_circuits::uart(), CompileOptions::with_l(4)).unwrap());
-    let cal = DeviceCalibration::default_host(1);
-    let sel = BackendRegistry::global()
-        .select(&nn, &Choice::Auto, &cal, 64)
-        .unwrap();
-    assert_eq!(sel.backend, "bitplane", "candidates: {:?}", sel.candidates);
-    // crippling the bitplane rate flips the winner to a CSR engine
-    let mut slow = cal.clone();
-    slow.backends
-        .iter_mut()
-        .find(|b| b.backend == "bitplane")
-        .unwrap()
-        .unit_per_s = 1.0;
-    let sel = BackendRegistry::global()
-        .select(&nn, &Choice::Auto, &slow, 64)
-        .unwrap();
-    assert_ne!(sel.backend, "bitplane");
 }

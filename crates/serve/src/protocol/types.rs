@@ -235,7 +235,7 @@ pub struct ModelStatsReport {
     /// execution backend serving this model's batches (registry name,
     /// e.g. `pooled-csr`, `bitplane`)
     pub backend: String,
-    /// whether the calibrated cost model picked the backend
+    /// whether the cost model picked the backend
     /// (`--backend auto`) rather than the operator naming it
     pub auto_selected: bool,
     /// model size in bytes (registry accounting)

@@ -11,10 +11,9 @@
 //!
 //! Installation is also where the execution backend is chosen: the
 //! configured [`Choice`](c2nn_hal::Choice) is resolved against the
-//! global [`c2nn_hal::BackendRegistry`] using this registry's
-//! [`DeviceCalibration`], so a model no backend can run (or a named
-//! backend refuses) is rejected here with a typed reason — never
-//! discovered inside a batcher thread.
+//! global [`c2nn_hal::BackendRegistry`] and its built-in cost table, so a
+//! model no backend can run (or a named backend refuses) is rejected here
+//! with a typed reason — never discovered inside a batcher thread.
 
 use crate::admission::Admission;
 use crate::chaos::Chaos;
@@ -23,7 +22,6 @@ use crate::protocol::{BackendSelectionReport, ServerStatsReport};
 use crate::scheduler::{BatchConfig, ServedModel};
 use crate::stats::ModelCounters;
 use c2nn_core::CompiledNn;
-use c2nn_hal::DeviceCalibration;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex};
 
@@ -45,10 +43,6 @@ pub struct RegistryConfig {
     /// Armed chaos schedule injected into every model's batcher
     /// (`None` in production).
     pub chaos: Option<Arc<Chaos>>,
-    /// Per-backend cost model consulted when resolving
-    /// [`BatchConfig::backend`] at install time (typically loaded from
-    /// `results/DEVICE.json`; defaults to the built-in host numbers).
-    pub calibration: Arc<DeviceCalibration>,
 }
 
 impl Default for RegistryConfig {
@@ -59,9 +53,6 @@ impl Default for RegistryConfig {
             max_inflight: 1024,
             max_inflight_per_model: 512,
             chaos: None,
-            calibration: Arc::new(DeviceCalibration::default_host(
-                c2nn_tensor::Pool::global().threads(),
-            )),
         }
     }
 }
@@ -177,8 +168,8 @@ impl Registry {
     /// Validate and admit an already-compiled model. `compile` output
     /// always passes validation, but models arriving over the wire or
     /// from stale files may not. Backend selection happens here: a model
-    /// the configured backend (or, under `auto`, every calibrated
-    /// backend) refuses is rejected with the typed admission reason.
+    /// the configured backend (or, under `auto`, every backend)
+    /// refuses is rejected with the typed admission reason.
     pub fn install(&self, name: &str, nn: CompiledNn<f32>) -> Result<Arc<ServedModel>, String> {
         nn.validate()
             .map_err(|e| format!("model '{name}' failed validation: {e}"))?;
@@ -186,7 +177,6 @@ impl Registry {
             name,
             nn,
             self.cfg.batch.clone(),
-            &self.cfg.calibration,
             Arc::clone(&self.admission),
             self.cfg.chaos.clone(),
         )

@@ -73,9 +73,9 @@ pub struct BatchConfig {
     /// How long the first queued request may wait for companions.
     pub max_wait: Duration,
     /// Execution backend, resolved against the [`BackendRegistry`] at
-    /// install time. [`Choice::Auto`] lets the calibrated cost model pick
-    /// per model; [`Choice::Named`] pins one backend and turns its
-    /// admission refusal into a typed install error.
+    /// install time. [`Choice::Auto`] lets the cost model pick per model;
+    /// [`Choice::Named`] pins one backend and turns its admission refusal
+    /// into a typed install error.
     pub backend: Choice,
 }
 
@@ -246,31 +246,29 @@ impl ServedModel {
         })
     }
 
-    /// Resolve `cfg.backend` against the global [`BackendRegistry`] with
-    /// the given calibration and spawn. This is the install-time gate: a
-    /// model no backend can run is refused here with a typed reason, not
-    /// discovered by a batcher thread later.
+    /// Resolve `cfg.backend` against the global [`BackendRegistry`] and
+    /// its built-in cost table at `cfg.max_batch` lanes, and spawn. This
+    /// is the install-time gate: a model no backend can run is refused
+    /// here with a typed reason, not discovered by a batcher thread later.
     pub fn spawn_selected(
         name: &str,
         nn: CompiledNn<f32>,
         cfg: BatchConfig,
-        calibration: &DeviceCalibration,
         admission: Arc<Admission>,
         chaos: Option<Arc<Chaos>>,
     ) -> Result<Arc<ServedModel>, c2nn_hal::SelectError> {
         let nn = Arc::new(nn);
+        let table = DeviceCalibration::default_host(c2nn_tensor::Pool::global().threads());
         let selection =
-            BackendRegistry::global().select(&nn, &cfg.backend, calibration, cfg.max_batch)?;
+            BackendRegistry::global().select(&nn, &cfg.backend, &table, cfg.max_batch)?;
         Ok(ServedModel::spawn(name, selection, cfg, admission, chaos))
     }
 
-    /// [`ServedModel::spawn_selected`] with built-in default calibration,
-    /// no pressure coupling, and no chaos — embedding and test
-    /// convenience. Panics if no backend admits the model (use
-    /// [`ServedModel::spawn_selected`] for typed errors).
+    /// [`ServedModel::spawn_selected`] with no pressure coupling and no
+    /// chaos — embedding and test convenience. Panics if no backend admits
+    /// the model (use [`ServedModel::spawn_selected`] for typed errors).
     pub fn spawn_standalone(name: &str, nn: CompiledNn<f32>, cfg: BatchConfig) -> Arc<ServedModel> {
-        let cal = DeviceCalibration::default_host(c2nn_tensor::Pool::global().threads());
-        ServedModel::spawn_selected(name, nn, cfg, &cal, Admission::unbounded(), None)
+        ServedModel::spawn_selected(name, nn, cfg, Admission::unbounded(), None)
             .expect("backend selection")
     }
 
@@ -743,7 +741,6 @@ mod tests {
         // CSR semantics
         let nn = counter_nn();
         let chaos = Chaos::new(ChaosConfig::parse("worker_panic=1,worker_panic_budget=1").unwrap());
-        let cal = DeviceCalibration::default_host(c2nn_tensor::Pool::global().threads());
         let model = ServedModel::spawn_selected(
             "ctr",
             nn,
@@ -752,7 +749,6 @@ mod tests {
                 max_wait: Duration::from_millis(10),
                 backend: named("bitplane"),
             },
-            &cal,
             Admission::unbounded(),
             Some(Arc::clone(&chaos)),
         )
@@ -775,7 +771,6 @@ mod tests {
     fn injected_worker_panic_fails_batch_typed_and_batcher_survives() {
         let nn = counter_nn();
         let chaos = Chaos::new(ChaosConfig::parse("worker_panic=1,worker_panic_budget=1").unwrap());
-        let cal = DeviceCalibration::default_host(c2nn_tensor::Pool::global().threads());
         let model = ServedModel::spawn_selected(
             "ctr",
             nn,
@@ -785,7 +780,6 @@ mod tests {
                 // pooled-csr so the injection hits the real pool path
                 backend: named("pooled-csr"),
             },
-            &cal,
             Admission::unbounded(),
             Some(Arc::clone(&chaos)),
         )

@@ -67,7 +67,6 @@ fn stim_planes(lanes: &[Vec<bool>]) -> c2nn_core::BitTensor {
 fn every_backend_and_circuit_is_bit_exact_over_both_wires() {
     let registry = BackendRegistry::global();
     for backend_name in registry.names() {
-        let backend = registry.get(backend_name).unwrap();
         let server = spawn_server(ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             registry: RegistryConfig {
@@ -86,9 +85,9 @@ fn every_backend_and_circuit_is_bit_exact_over_both_wires() {
         let mut json = Client::connect(&addr).unwrap();
         let mut binary = Client::connect_wire(&addr, WireFormat::Binary).unwrap();
 
-        // each circuit under every compile configuration the backend is
+        // each circuit under every compile configuration backends are
         // held to; a later install replaces the earlier one under its name
-        let configs = compile_configs(backend.as_ref());
+        let configs = compile_configs();
         for ((cname, nl), (cfg, opts)) in suite_workloads()
             .iter()
             .flat_map(|w| configs.iter().map(move |c| (w, c)))

@@ -5,7 +5,6 @@
 //! c2nn stats   <file.v|.blif> --top <module> [--l <n>] [--wide] [--passes <list>] [--stats]
 //! c2nn sim     <model.json> --cycles <n> [--batch <n>] [--backend <name>|auto] [--guard]
 //! c2nn serve   <model.json>... [--addr host:port] [--max-batch <n>] [--max-wait-ms <n>] [--mem-mb <n>] [--max-inflight <n>] [--backend <name>|auto] [--chaos <spec>]
-//! c2nn calibrate [--quick] [--out results/DEVICE.json] [--check <path>]
 //! c2nn client  <addr> --model <name> --stim <tb.stim> [--clients <n>] [--repeat <n>] [--deadline-ms <n>] [--retries <n>] [--seed <n>]
 //! c2nn trace   <file.v|.blif> --top <module> --cycles <n> [--out wave.vcd]
 //! c2nn dot     <file.v|.blif> --top <module>
@@ -16,15 +15,38 @@
 use c2nn::prelude::*;
 use std::process::exit;
 
+/// Write to stdout; a reader that went away (`c2nn sim … | head -1`) ends
+/// the run quietly with status 0 instead of `println!`'s panic.
+fn stdout_write(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            exit(0)
+        }
+        eprintln!("cannot write to stdout: {e}");
+        exit(1)
+    }
+}
+
+/// `print!` through [`stdout_write`].
+macro_rules! out {
+    ($($arg:tt)*) => { stdout_write(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`stdout_write`].
+macro_rules! outln {
+    ($($arg:tt)*) => { stdout_write(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  c2nn compile <file.v|.blif> --top <module> [--l <n>] [--wide] [--passes <list>] [--stats] [--out model.json]\n  \
          c2nn stats   <file.v|.blif> --top <module> [--l <n>] [--wide] [--passes <list>] [--stats]\n  \
          (--passes: all | none | comma list of fold,cse,dce,merge)\n  \
          c2nn sim     <model.json> --cycles <n> [--batch <n>] [--backend <name>|auto] [--guard]\n  \
+         (--backend auto, the default: a built-in cost table picks per model and lane count; sim/bench print every candidate)\n  \
          c2nn bench   <model.json> <tb.stim>... [--backend <name>|auto] (batched testbenches)\n  \
          c2nn serve   <model.json>... [--addr host:port] [--wire any|json] [--max-batch <n>] [--max-wait-ms <n>] [--mem-mb <n>] [--max-inflight <n>] [--backend <name>|auto] [--chaos <spec>]\n  \
-         c2nn calibrate [--quick] [--out results/DEVICE.json] [--check <path>]\n  \
          (--chaos: seed=<n>,worker_panic=<p>,worker_panic_budget=<n>,stall=<p>,stall_ms=<n>,stall_budget=<n>)\n  \
          c2nn client  <addr> [--wire json|binary] [--ping | --stats | --metrics [--check] | --shutdown | --load <model.json> [--name <n>]]\n  \
          c2nn client  <addr> --model <name> --stim <tb.stim> [--wire json|binary] [--clients <n>] [--repeat <n>] [--deadline-ms <n>] [--retries <n>] [--seed <n>]\n  \
@@ -84,42 +106,24 @@ fn backend_flag(args: &[String]) -> c2nn::hal::Choice {
     choice
 }
 
-/// Default calibration file, written by `c2nn calibrate` and read back by
-/// `sim`/`serve` for `--backend auto` cost-model decisions.
-const DEVICE_JSON: &str = "results/DEVICE.json";
-
-/// Load `results/DEVICE.json` if present; otherwise fall back to the
-/// conservative built-in host calibration. A present-but-corrupt file is an
-/// error (silently ignoring it would make `--backend auto` nondeterministic
-/// across checkouts).
-fn load_calibration() -> c2nn::hal::DeviceCalibration {
-    match std::fs::read_to_string(DEVICE_JSON) {
-        Ok(text) => c2nn::hal::DeviceCalibration::from_json_text(&text).unwrap_or_else(|e| {
-            eprintln!("{DEVICE_JSON}: {e} (re-run `c2nn calibrate`)");
-            exit(1)
-        }),
-        Err(_) => {
-            c2nn::hal::DeviceCalibration::default_host(c2nn::tensor::Pool::global().threads())
-        }
-    }
-}
-
 /// Resolve `--backend` for a run of `lanes` testbenches against the
-/// calibration on disk and say which engine won — the one path `sim` and
-/// `bench` both take to an admitted plan.
+/// built-in cost table and say which engine won and what every candidate
+/// was predicted at — the one path `sim` and `bench` both take to an
+/// admitted plan. The pick depends on the model and `lanes` only.
 fn select_backend(
     file: &str,
     nn: CompiledNn<f32>,
     choice: &c2nn::hal::Choice,
     lanes: usize,
 ) -> c2nn::hal::Selection {
+    let table = c2nn::hal::DeviceCalibration::default_host(c2nn::tensor::Pool::global().threads());
     let selection = c2nn::hal::BackendRegistry::global()
-        .select(&std::sync::Arc::new(nn), choice, &load_calibration(), lanes)
+        .select(&std::sync::Arc::new(nn), choice, &table, lanes)
         .unwrap_or_else(|e| {
             eprintln!("{file}: {e}");
             exit(1)
         });
-    println!(
+    outln!(
         "backend   : {}{}",
         selection.backend,
         if selection.auto {
@@ -128,8 +132,17 @@ fn select_backend(
             ""
         }
     );
+    if selection.auto {
+        for c in &selection.candidates {
+            let fate = match (c.predicted_lane_cps, &c.skipped) {
+                (Some(cps), _) => format!("{cps:.3e} lane-cycles/s"),
+                (None, why) => format!("skipped — {}", why.as_deref().unwrap_or("not priced")),
+            };
+            outln!("  {:<10}: {fate}", c.backend);
+        }
+    }
     if let Some(cps) = selection.predicted_lane_cps {
-        println!("predicted : {cps:.3e} lane-cycles/s");
+        outln!("predicted : {cps:.3e} lane-cycles/s");
     }
     selection
 }
@@ -193,21 +206,21 @@ fn main() {
                 exit(1)
             });
             let gen = t0.elapsed().as_secs_f64();
-            println!("circuit   : {} ({file})", nl.name);
-            println!(
+            outln!("circuit   : {} ({file})", nl.name);
+            outln!(
                 "gates     : {} (+{} flip-flops)",
                 nl.gates.len(),
                 nl.flipflops.len()
             );
-            println!("L         : {l}");
-            println!("gen time  : {gen:.3} s");
-            println!("layers    : {}", nn.num_layers());
-            println!("connections: {}", nn.connections());
-            println!("memory    : {:.2} MB", nn.memory_bytes() as f64 / 1e6);
-            println!("sparsity  : {:.5}", nn.mean_sparsity());
+            outln!("L         : {l}");
+            outln!("gen time  : {gen:.3} s");
+            outln!("layers    : {}", nn.num_layers());
+            outln!("connections: {}", nn.connections());
+            outln!("memory    : {:.2} MB", nn.memory_bytes() as f64 / 1e6);
+            outln!("sparsity  : {:.5}", nn.mean_sparsity());
             if args.iter().any(|a| a == "--stats") {
-                println!("\nper-pass compile report:");
-                print!("{}", report.to_table());
+                outln!("\nper-pass compile report:");
+                out!("{}", report.to_table());
             }
             if cmd == "compile" {
                 if let Err(e) = nn.validate() {
@@ -219,7 +232,7 @@ fn main() {
                     eprintln!("cannot write {out}: {e}");
                     exit(1)
                 });
-                println!("model written to {out}");
+                outln!("model written to {out}");
             }
         }
         "bench" => {
@@ -258,7 +271,7 @@ fn main() {
             });
             let dt = t0.elapsed().as_secs_f64();
             let total_cycles: usize = benches.iter().map(|b| b.cycles.len()).sum();
-            println!(
+            outln!(
                 "{} testbenches, {total_cycles} total cycles, one batched simulation in {dt:.3}s",
                 benches.len()
             );
@@ -269,7 +282,7 @@ fn main() {
                         .map(|&b| if b { '1' } else { '0' })
                         .collect::<String>()
                 });
-                println!(
+                outln!(
                     "  {f}: {} cycles, final outputs {}",
                     r.cycles.len(),
                     last.unwrap_or_default()
@@ -298,7 +311,7 @@ fn main() {
                     }));
                 }
                 let dt = t0.elapsed().as_secs_f64();
-                println!(
+                outln!(
                     "{cycles} cycles × {batch} lanes (guarded scalar) in {dt:.3}s — {:.3e} gates·cycles/s",
                     nn.gate_count as f64 * cycles as f64 * batch as f64 / dt
                 );
@@ -309,7 +322,7 @@ fn main() {
                         .rev()
                         .map(|&b| if b { '1' } else { '0' })
                         .collect();
-                    println!("lane 0 outputs after final cycle: {word}");
+                    outln!("lane 0 outputs after final cycle: {word}");
                 }
                 return;
             }
@@ -325,7 +338,7 @@ fn main() {
                 exit(1)
             });
             let dt = t0.elapsed().as_secs_f64();
-            println!(
+            outln!(
                 "{cycles} cycles × {batch} lanes in {dt:.3}s — {:.3e} gates·cycles/s",
                 nn.gate_count as f64 * cycles as f64 * batch as f64 / dt
             );
@@ -335,63 +348,8 @@ fn main() {
                     .rev()
                     .map(|&b| if b { '1' } else { '0' })
                     .collect();
-                println!("lane 0 outputs after final cycle: {word}");
+                outln!("lane 0 outputs after final cycle: {word}");
             }
-        }
-        "calibrate" => {
-            let quick = args.iter().any(|a| a == "--quick");
-            if let Some(path) = flag(&args, "--check") {
-                let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    exit(1)
-                });
-                let cal = c2nn::hal::DeviceCalibration::from_json_text(&text).unwrap_or_else(|e| {
-                    eprintln!("{path}: {e}");
-                    exit(1)
-                });
-                println!(
-                    "{path}: valid calibration for `{}` ({} backends, {} threads{})",
-                    cal.device,
-                    cal.backends.len(),
-                    cal.threads,
-                    if cal.quick { ", quick" } else { "" }
-                );
-                return;
-            }
-            let out = flag(&args, "--out").unwrap_or_else(|| DEVICE_JSON.into());
-            let opts = c2nn::hal::CalibrateOptions {
-                quick,
-                ..Default::default()
-            };
-            eprintln!(
-                "calibrating {} backends ({}) ...",
-                c2nn::hal::BackendRegistry::global().names().len(),
-                if quick { "quick" } else { "full" }
-            );
-            let cal = c2nn::hal::calibrate(c2nn::hal::BackendRegistry::global(), &opts)
-                .unwrap_or_else(|e| {
-                    eprintln!("calibration failed: {e}");
-                    exit(1)
-                });
-            for b in &cal.backends {
-                println!(
-                    "{:12} {:.3e} unit/s, launch {:.2e} s, weighted ×{:.2}, coverage {:.3}",
-                    b.backend, b.unit_per_s, b.launch_s, b.weighted_unit_factor, b.coverage
-                );
-            }
-            if let Some(dir) = std::path::Path::new(&out).parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                        eprintln!("cannot create {}: {e}", dir.display());
-                        exit(1)
-                    });
-                }
-            }
-            std::fs::write(&out, cal.to_json_text()).unwrap_or_else(|e| {
-                eprintln!("cannot write {out}: {e}");
-                exit(1)
-            });
-            println!("calibration written to {out}");
         }
         "serve" => {
             // c2nn serve <model.json>... — each model registered under its
@@ -436,7 +394,6 @@ fn main() {
                         max_wait: std::time::Duration::from_millis(max_wait_ms),
                         backend: backend.clone(),
                     },
-                    calibration: std::sync::Arc::new(load_calibration()),
                     max_inflight,
                     chaos,
                     ..RegistryConfig::default()
@@ -459,7 +416,7 @@ fn main() {
                     eprintln!("{file}: {e}");
                     exit(1)
                 });
-                println!(
+                outln!(
                     "loaded {name} ({:.2} MB) from {file} — backend {}{}",
                     model.bytes as f64 / 1e6,
                     model.backend,
@@ -471,12 +428,12 @@ fn main() {
                 );
             }
             c2nn::serve::signal::install_sigint_handler();
-            println!(
+            outln!(
                 "serving on {} (wire {wire:?}, backend {backend}, max_batch {max_batch}, max_wait {max_wait_ms}ms, max_inflight {max_inflight}) — Ctrl-C or a `shutdown` request stops it",
                 server.local_addr()
             );
             server.join();
-            println!("server stopped");
+            outln!("server stopped");
         }
         "client" => {
             use c2nn::serve::{Client, WireFormat};
@@ -500,14 +457,14 @@ fn main() {
                     eprintln!("{e}");
                     exit(1)
                 });
-                println!("pong (protocol v{version})");
+                outln!("pong (protocol v{version})");
             } else if args.iter().any(|a| a == "--stats") {
                 let stats = connect("stats").stats().unwrap_or_else(|e| {
                     eprintln!("{e}");
                     exit(1)
                 });
                 for m in &stats.models {
-                    println!(
+                    outln!(
                         "{} [{}{}]: {} requests, {} batches, occupancy {:.2}, queue {}, p50 {}us, p99 {}us, {} deadline-exceeded, {:.2} MB",
                         m.name, m.backend, if m.auto_selected { ", auto" } else { "" },
                         m.requests, m.batches, m.mean_occupancy,
@@ -516,13 +473,16 @@ fn main() {
                     );
                 }
                 for b in &stats.server.backends {
-                    println!(
+                    outln!(
                         "backend {}: {} models ({} auto-selected), {} requests",
-                        b.backend, b.models, b.auto_selected, b.requests
+                        b.backend,
+                        b.models,
+                        b.auto_selected,
+                        b.requests
                     );
                 }
                 let s = &stats.server;
-                println!(
+                outln!(
                     "server: {}/{} in flight, pressure {}, draining {}, rejected {} sims / {} loads / {} draining, {} poisoned pool epochs, {} chaos injections",
                     s.inflight, s.max_inflight, s.pressure, s.draining,
                     s.rejected_sims, s.rejected_loads, s.rejected_draining,
@@ -535,7 +495,7 @@ fn main() {
                     eprintln!("{e}");
                     exit(1)
                 });
-                print!("{body}");
+                out!("{body}");
                 if args.iter().any(|a| a == "--check") {
                     if let Err(e) = c2nn::serve::metrics::validate_exposition(&body) {
                         eprintln!("metrics validation FAILED: {e}");
@@ -548,7 +508,7 @@ fn main() {
                     eprintln!("{e}");
                     exit(1)
                 });
-                println!("server is shutting down");
+                outln!("server is shutting down");
             } else if let Some(file) = flag(&args, "--load") {
                 let name = flag(&args, "--name").unwrap_or_else(|| {
                     std::path::Path::new(&file)
@@ -565,7 +525,7 @@ fn main() {
                     eprintln!("{e}");
                     exit(1)
                 });
-                println!("loaded {name} ({:.2} MB)", bytes as f64 / 1e6);
+                outln!("loaded {name} ({:.2} MB)", bytes as f64 / 1e6);
             } else {
                 // simulate: one-shot, or a load generator with --clients
                 let model = flag(&args, "--model").unwrap_or_else(|| usage());
@@ -603,20 +563,23 @@ fn main() {
                         wire,
                     });
                     if args.iter().any(|a| a == "--json") {
-                        println!(
+                        outln!(
                             "{}",
                             c2nn::json::ToJson::to_json(&report).to_string_pretty()
                         );
                     } else {
-                        println!(
+                        outln!(
                             "open loop: {} sent over {} conns in {:.2}s — {:.1} req/s ok ({} ok, {} overloaded, {} deadline, {} shutdown, {} failed)",
                             report.sent, connections, report.elapsed_s, report.req_per_s,
                             report.ok, report.overloaded, report.deadline_exceeded,
                             report.shutting_down, report.failed
                         );
-                        println!(
+                        outln!(
                             "latency from scheduled arrival: p50 {}us p90 {}us p99 {}us max {}us",
-                            report.p50_us, report.p90_us, report.p99_us, report.max_us
+                            report.p50_us,
+                            report.p90_us,
+                            report.p99_us,
+                            report.max_us
                         );
                     }
                     if report.failed > 0 {
@@ -629,7 +592,7 @@ fn main() {
                             eprintln!("error: {e}");
                             exit(1)
                         });
-                    println!("outputs: {}", outputs.join(" "));
+                    outln!("outputs: {}", outputs.join(" "));
                 } else {
                     // load generator: `clients` connections in parallel,
                     // each sending the testbench `repeat` times; transient
@@ -716,7 +679,7 @@ fn main() {
                     }
                     let dt = t0.elapsed().as_secs_f64();
                     let total = clients * repeat;
-                    println!(
+                    outln!(
                         "{total} requests from {clients} clients in {dt:.3}s — {:.1} req/s ({ok} ok, {failures} failed, {retries} retries)",
                         ok as f64 / dt
                     );
@@ -730,7 +693,7 @@ fn main() {
                         let (l0, b0) = find(&before.models);
                         let (l1, b1) = find(&after.models);
                         if b1 > b0 {
-                            println!(
+                            outln!(
                                 "mean batch occupancy over this run: {:.2} lanes/batch",
                                 (l1 - l0) as f64 / (b1 - b0) as f64
                             );
@@ -739,7 +702,7 @@ fn main() {
                         let shed = (s1.rejected_sims - s0.rejected_sims)
                             + (s1.rejected_draining - s0.rejected_draining);
                         if shed > 0 {
-                            println!(
+                            outln!(
                                 "server shed {shed} requests with typed rejections during this run"
                             );
                         }
@@ -773,13 +736,13 @@ fn main() {
                 eprintln!("cannot write {out}: {e}");
                 exit(1)
             });
-            println!("{cycles} cycles traced to {out} (view with GTKWave)");
+            outln!("{cycles} cycles traced to {out} (view with GTKWave)");
         }
         "dot" => {
             let file = args.get(1).unwrap_or_else(|| usage());
             let top = flag(&args, "--top");
             let nl = load_netlist(file, top.as_deref());
-            print!("{}", c2nn::netlist::to_dot(&nl));
+            out!("{}", c2nn::netlist::to_dot(&nl));
         }
         _ => usage(),
     }

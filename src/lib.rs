@@ -17,7 +17,7 @@
 //! | [`tensor`] | sparse kernels (the PyTorch/cuSPARSE stand-in) |
 //! | [`refsim`] | reference simulators (the Verilator stand-in) |
 //! | [`circuits`] | AES/SHA/SPI/UART/DMA/RV32I benchmark suite |
-//! | [`hal`] | pluggable execution backends + calibrated cost model |
+//! | [`hal`] | pluggable execution backends + built-in cost table |
 //! | [`serve`] | batching simulation service (registry + coalescing) |
 //!
 //! ## Quickstart

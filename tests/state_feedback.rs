@@ -59,16 +59,16 @@ struct Case {
     plan: Arc<dyn Plan>,
 }
 
-/// Every registered backend × the compile configurations it is held to
-/// (`hal::conformance::compile_configs`: the default pipeline every
-/// production plan is built from, and the backend's preferred one where
-/// that differs), labelled `backend[config]`.
+/// Every registered backend × the compile configurations backends are
+/// held to (`hal::conformance::compile_configs`: the default pipeline
+/// every production plan is built from, and the same without
+/// layer-merge), labelled `backend[config]`.
 fn backends() -> Vec<(String, Arc<dyn Backend>, CompileOptions)> {
     let registry = BackendRegistry::global();
     let mut out = Vec::new();
     for name in registry.names() {
         let backend: &Arc<dyn Backend> = registry.get(name).unwrap();
-        for (cfg, opts) in compile_configs(backend.as_ref()) {
+        for (cfg, opts) in compile_configs() {
             out.push((format!("{name}[{cfg}]"), Arc::clone(backend), opts));
         }
     }
@@ -337,5 +337,60 @@ fn shape_errors_are_typed_identical_and_leave_sessions_alone() {
         // and the runner is still good for a clean batch afterwards
         stims[2].cycles[3].pop();
         assert_eq!(plan.execute_batch(&stims).unwrap().len(), 3, "{name}");
+    }
+}
+
+/// What `--backend auto` picks, pinned: the suite circuits at the default
+/// compile options × lanes {1, 2, 64, 4096} against the built-in cost
+/// table. Manifests are exact counts and the table is constant, so this is
+/// deterministic; a retune of the table edits this literal in the same
+/// diff.
+#[test]
+fn auto_selection_on_the_suite_is_the_committed_table() {
+    use c2nn::hal::{conformance, Choice, DeviceCalibration};
+    const LANES: [usize; 4] = [1, 2, 64, 4096];
+    const PICKS: [(&str, [&str; 4]); 6] = [
+        ("AES", ["pooled-csr", "pooled-csr", "bitplane", "bitplane"]),
+        ("SHA", ["pooled-csr", "bitplane", "bitplane", "bitplane"]),
+        ("SPI", ["scalar", "scalar", "bitplane", "bitplane"]),
+        ("UART", ["scalar", "pooled-csr", "bitplane", "bitplane"]),
+        ("DMA", ["scalar", "bitplane", "bitplane", "bitplane"]),
+        (
+            "RISC-V interface",
+            ["pooled-csr", "pooled-csr", "bitplane", "bitplane"],
+        ),
+    ];
+    let workloads = conformance::suite_workloads();
+    assert_eq!(workloads.len(), PICKS.len());
+    let [(_, default), _] = conformance::compile_configs();
+    for ((cname, nl), (pname, picks)) in workloads.iter().zip(PICKS) {
+        assert_eq!(*cname, pname);
+        let nn = Arc::new(compile(nl, default).unwrap());
+        for (lanes, pick) in LANES.into_iter().zip(picks) {
+            let select = |threads| {
+                BackendRegistry::global()
+                    .select(
+                        &nn,
+                        &Choice::Auto,
+                        &DeviceCalibration::default_host(threads),
+                        lanes,
+                    )
+                    .unwrap()
+            };
+            let sel = select(2);
+            assert_eq!(sel.backend, pick, "{cname} at {lanes} lanes");
+            // the winner is the strict maximum of what every candidate was
+            // predicted at, not a preference order
+            let best = sel.predicted_lane_cps.unwrap();
+            for c in sel.candidates.iter().filter(|c| c.backend != sel.backend) {
+                assert!(
+                    c.predicted_lane_cps.unwrap() < best,
+                    "{cname} at {lanes} lanes: {} ties or beats {pick}",
+                    c.backend
+                );
+            }
+            // the table does not depend on the host's thread count
+            assert_eq!(select(1).backend, pick, "{cname} at {lanes} lanes");
+        }
     }
 }
