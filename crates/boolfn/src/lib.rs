@@ -26,12 +26,10 @@
 //! ```
 
 pub mod analysis;
-pub mod bdd;
 pub mod lut;
 pub mod poly;
 pub mod transform;
 
-pub use bdd::{Bdd, BddManager};
 pub use lut::Lut;
 pub use poly::{Polynomial, Term};
 pub use transform::{known, lut_to_poly, lut_to_poly_dnf, poly_to_lut};

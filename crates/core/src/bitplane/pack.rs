@@ -201,7 +201,9 @@ impl BitTensor {
     /// lane `l`'s `features` bits, 64 per word (bit `f % 64` of word
     /// `f / 64`). The tensor becomes `features × rows.len()` with zero
     /// tails. Works in 64×64 bit blocks, so the cost is one word op per 64
-    /// bits moved rather than one per bit.
+    /// bits moved rather than one per bit. A row shorter than
+    /// `ceil(features / 64)` words reads as zero past its end (how a
+    /// finished testbench idles).
     pub fn gather_rows<R>(&mut self, features: usize, rows: &[R], words: impl Fn(&R) -> &[u64]) {
         self.resize_to(features, rows.len());
         let mut block = [0u64; 64];
@@ -209,7 +211,7 @@ impl BitTensor {
             for fb in 0..features.div_ceil(64) {
                 block.fill(0);
                 for (slot, row) in block.iter_mut().zip(lanes) {
-                    *slot = words(row)[fb];
+                    *slot = words(row).get(fb).copied().unwrap_or(0);
                 }
                 transpose64(&mut block);
                 for (j, &plane_word) in block.iter().enumerate().take(features - fb * 64) {
@@ -221,7 +223,8 @@ impl BitTensor {
 
     /// Inverse of [`BitTensor::gather_rows`]: write lane `l`'s bits back
     /// into `words(&mut rows[l])` (bits past `features` in a row's last
-    /// word come out zero). Never lets the ragged tail reach a row.
+    /// word come out zero; a row too short for a word is not written
+    /// there). Never lets the ragged tail reach a row.
     pub fn scatter_rows<R>(&self, rows: &mut [R], words: impl Fn(&mut R) -> &mut [u64]) {
         assert_eq!(rows.len(), self.batch, "one row per lane");
         let mut block = [0u64; 64];
@@ -233,10 +236,21 @@ impl BitTensor {
                 }
                 transpose64(&mut block);
                 for (&lane_word, row) in block.iter().zip(lanes.iter_mut()) {
-                    words(row)[fb] = lane_word;
+                    if let Some(word) = words(row).get_mut(fb) {
+                        *word = lane_word;
+                    }
                 }
             }
         }
+    }
+
+    /// The `batch × features` transpose, tails zero: wire planes
+    /// (`ports × cycles`) ⇄ cycle rows (`cycles × ports`).
+    pub fn transpose(&self) -> BitTensor {
+        let planes: Vec<&[u64]> = (0..self.features).map(|f| self.feature_words(f)).collect();
+        let mut t = BitTensor::zeros(0, 0);
+        t.gather_rows(self.batch, &planes, |plane| plane);
+        t
     }
 }
 

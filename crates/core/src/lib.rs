@@ -68,5 +68,7 @@ pub use layer::{Activation2, NnLayer};
 pub use model::ModelError;
 pub use session::Session;
 pub use sim::{batch_from_bits, SimError, Simulator, StepShape};
-pub use testbench::{format_stim, parse_stim, run_batch, BenchResult, StimError, Stimulus};
+pub use testbench::{
+    bits_to_text, format_stim, parse_stim, run_batch, BenchResult, CycleRows, StimError, Stimulus,
+};
 pub use validate::{ValidateError, ValidationReport};

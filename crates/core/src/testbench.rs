@@ -16,7 +16,12 @@
 //! 01 x5
 //! 00 x2
 //! ```
+//!
+//! Text and per-cycle bit vectors ([`Stimulus`], [`BenchResult`]) are the
+//! edge shapes files and callers hand over. Past the edge a testbench —
+//! stimulus and recorded outputs alike — is one thing, [`CycleRows`].
 
+use crate::bitplane::BitTensor;
 use crate::compile::CompiledNn;
 use crate::sim::Simulator;
 use c2nn_tensor::{Dense, Device, Scalar};
@@ -43,9 +48,35 @@ impl std::fmt::Display for StimError {
 
 impl std::error::Error for StimError {}
 
+/// Most cycles one testbench may hold, and the largest `xN` repeat: `.stim`
+/// text expands, so hostile input must not pick its own allocation size.
+const MAX_CYCLES: usize = 1_000_000;
+
+/// One cycle's port bits as text, MSB first (port 0 is the last character).
+pub fn bits_to_text(bits: &[bool]) -> String {
+    let chars = bits.iter().rev();
+    chars.map(|&b| if b { '1' } else { '0' }).collect()
+}
+
+/// Inverse of [`bits_to_text`], for line `line` of some text.
+fn text_to_bits(text: &str, line: usize) -> Result<Vec<bool>, StimError> {
+    let bit = |c| match c {
+        '0' => Ok(false),
+        '1' => Ok(true),
+        other => Err(StimError {
+            message: format!("bad bit character '{other}'"),
+            line,
+        }),
+    };
+    text.chars().rev().map(bit).collect()
+}
+
 /// Parse `.stim` text for a circuit with `num_inputs` primary inputs.
 pub fn parse_stim(text: &str, num_inputs: usize) -> Result<Stimulus, StimError> {
-    let mut cycles = Vec::new();
+    // lines first, expansion after: text that fails anywhere has allocated
+    // nothing its repeat counts chose
+    let mut runs = Vec::new();
+    let mut total = 0;
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.split('#').next().unwrap_or("").trim();
         if line.is_empty() {
@@ -68,9 +99,9 @@ pub fn parse_stim(text: &str, num_inputs: usize) -> Result<Stimulus, StimError> 
                 })?;
                 // bound the expansion: a hostile `x99999999999` repeat must
                 // not allocate the testbench into oblivion
-                if n == 0 || n > 1_000_000 {
+                if n == 0 || n > MAX_CYCLES {
                     return Err(StimError {
-                        message: format!("repeat count {n} out of range (1..=1000000)"),
+                        message: format!("repeat count {n} out of range (1..={MAX_CYCLES})"),
                         line: lineno + 1,
                     });
                 }
@@ -89,23 +120,20 @@ pub fn parse_stim(text: &str, num_inputs: usize) -> Result<Stimulus, StimError> 
                 line: lineno + 1,
             });
         }
-        // MSB-first in the file → inputs[0] is the last character
-        let mut bits = Vec::with_capacity(num_inputs);
-        for c in bits_str.chars().rev() {
-            bits.push(match c {
-                '0' => false,
-                '1' => true,
-                other => {
-                    return Err(StimError {
-                        message: format!("bad bit character '{other}'"),
-                        line: lineno + 1,
-                    })
-                }
+        // each repeat is bounded above, their sum here: three `x1000000`
+        // lines are 33 bytes of text
+        total += repeat;
+        if total > MAX_CYCLES {
+            return Err(StimError {
+                message: format!("testbench exceeds {MAX_CYCLES} cycles"),
+                line: lineno + 1,
             });
         }
-        for _ in 0..repeat {
-            cycles.push(bits.clone());
-        }
+        runs.push((text_to_bits(bits_str, lineno + 1)?, repeat));
+    }
+    let mut cycles = Vec::with_capacity(total);
+    for (bits, repeat) in runs {
+        cycles.resize(cycles.len() + repeat, bits);
     }
     Ok(Stimulus { cycles })
 }
@@ -120,11 +148,7 @@ pub fn format_stim(stim: &Stimulus) -> String {
         while i + run < stim.cycles.len() && stim.cycles[i + run] == *cur {
             run += 1;
         }
-        let bits: String = cur
-            .iter()
-            .rev()
-            .map(|&b| if b { '1' } else { '0' })
-            .collect();
+        let bits = bits_to_text(cur);
         if run > 1 {
             s.push_str(&format!("{bits} x{run}\n"));
         } else {
@@ -140,6 +164,124 @@ pub fn format_stim(stim: &Stimulus) -> String {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BenchResult {
     pub cycles: Vec<Vec<bool>>,
+}
+
+/// A testbench in memory, stimulus or recorded outputs: one packed row per
+/// cycle. Port `p` of cycle `c` is bit `p % 64` of word `p / 64` of row `c`,
+/// bits past the last port zero — the row a [`Session`](crate::Session)
+/// keeps its state in, so a batch of testbenches crosses into an engine's
+/// planes and back by the same 64×64 block transpose
+/// ([`BitTensor::gather_rows`] / [`BitTensor::scatter_rows`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CycleRows(
+    /// `features` = cycles, `batch` = ports, tails zero.
+    BitTensor,
+);
+
+impl CycleRows {
+    /// `cycles` all-zero rows of `ports` bits.
+    pub fn zeros(cycles: usize, ports: usize) -> Self {
+        CycleRows(BitTensor::zeros(cycles, ports))
+    }
+
+    /// Pack per-cycle bit vectors (`cycles[c][p]`, what [`Stimulus`] and
+    /// [`BenchResult`] hold). The widest cycle sets the port count, so a
+    /// malformed testbench is never truncated.
+    pub fn from_lanes(cycles: &[Vec<bool>]) -> Self {
+        let ports = cycles.iter().map(Vec::len).max().unwrap_or(0);
+        let mut rows = CycleRows::zeros(cycles.len(), ports);
+        for (c, bits) in cycles.iter().enumerate() {
+            for (word, chunk) in rows.row_mut(c).iter_mut().zip(bits.chunks(64)) {
+                let packed = chunk.iter().enumerate();
+                *word = packed.fold(0, |w, (i, &b)| w | (b as u64) << i);
+            }
+        }
+        rows
+    }
+
+    /// Inverse of [`CycleRows::from_lanes`].
+    pub fn lanes(&self) -> Vec<Vec<bool>> {
+        let bit = |row: &[u64], p: usize| row[p / 64] >> (p % 64) & 1 == 1;
+        (0..self.num_cycles())
+            .map(|c| (0..self.ports()).map(|p| bit(self.row(c), p)).collect())
+            .collect()
+    }
+
+    /// Transpose wire planes (`ports × cycles`, the shape both codecs
+    /// carry) into rows.
+    pub fn from_planes(planes: &BitTensor) -> Self {
+        CycleRows(planes.transpose())
+    }
+
+    /// Inverse of [`CycleRows::from_planes`], tails zero (canonical wire
+    /// form).
+    pub fn to_planes(&self) -> BitTensor {
+        self.0.transpose()
+    }
+
+    /// Parse one MSB-first bit string per cycle, all of one width (the
+    /// shape a text `sim` reply carries; no repeats or comments).
+    pub fn from_text<S: AsRef<str>>(lines: &[S]) -> Result<Self, StimError> {
+        let parsed = lines.iter().enumerate();
+        let cycles = parsed
+            .map(|(i, text)| text_to_bits(text.as_ref(), i + 1))
+            .collect::<Result<Vec<_>, _>>()?;
+        match cycles.iter().position(|c| c.len() != cycles[0].len()) {
+            None => Ok(CycleRows::from_lanes(&cycles)),
+            Some(i) => Err(StimError {
+                message: format!("expected {} bits, got {}", cycles[0].len(), cycles[i].len()),
+                line: i + 1,
+            }),
+        }
+    }
+
+    /// Inverse of [`CycleRows::from_text`].
+    pub fn to_text(&self) -> Vec<String> {
+        self.lanes().iter().map(|bits| bits_to_text(bits)).collect()
+    }
+
+    /// Number of cycles.
+    pub fn num_cycles(&self) -> usize {
+        self.0.features()
+    }
+
+    /// Port bits per cycle.
+    pub fn ports(&self) -> usize {
+        self.0.batch()
+    }
+
+    /// Cycle `c`'s packed port bits — empty once the testbench has ended,
+    /// which [`BitTensor::gather_rows`] reads as all-zero inputs.
+    pub fn row(&self, c: usize) -> &[u64] {
+        if c < self.num_cycles() {
+            self.0.feature_words(c)
+        } else {
+            &[]
+        }
+    }
+
+    /// Mutable [`CycleRows::row`] — empty past the end, so
+    /// [`BitTensor::scatter_rows`] records nothing there.
+    pub fn row_mut(&mut self, c: usize) -> &mut [u64] {
+        if c < self.num_cycles() {
+            self.0.feature_words_mut(c)
+        } else {
+            &mut []
+        }
+    }
+}
+
+impl From<Stimulus> for CycleRows {
+    fn from(stim: Stimulus) -> Self {
+        CycleRows::from_lanes(&stim.cycles)
+    }
+}
+
+/// Wire planes (`ports × cycles`), as [`CycleRows::from_planes`].
+impl From<BitTensor> for CycleRows {
+    fn from(planes: BitTensor) -> Self {
+        CycleRows::from_planes(&planes)
+    }
 }
 
 /// Run many testbenches through one batched simulation: one simulator lane
@@ -196,6 +338,56 @@ mod tests {
         assert!(parse_stim("1x", 2).is_err()); // bad char
         assert!(parse_stim("10 y3", 2).is_err()); // bad repeat
         assert!(parse_stim("10 x3 junk", 2).is_err());
+    }
+
+    #[test]
+    fn the_sum_of_repeats_is_bounded_like_each_repeat() {
+        let at_the_bound = format!("1 x{}\n1 x{}\n", MAX_CYCLES - 1, 1);
+        assert_eq!(
+            parse_stim(&at_the_bound, 1).unwrap().cycles.len(),
+            MAX_CYCLES
+        );
+        let err = parse_stim(&"1 x1000000\n".repeat(3), 1).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.as_str()),
+            (2, "testbench exceeds 1000000 cycles")
+        );
+        // a defect after the bomb is found before anything expands
+        assert_eq!(
+            parse_stim("1 x1000000\n1 x1000000 junk\n", 1)
+                .unwrap_err()
+                .line,
+            2
+        );
+    }
+
+    #[test]
+    fn cycle_rows_convert_faithfully_at_every_edge() {
+        // 70 ports: rows cross a word; 3 cycles: planes have a ragged tail
+        let text = ["1".repeat(70), "0".repeat(69) + "1", "10".repeat(35)];
+        let rows = CycleRows::from_text(&text).unwrap();
+        assert_eq!((rows.num_cycles(), rows.ports()), (3, 70));
+        assert_eq!(rows.to_text(), text);
+        let lanes = rows.lanes();
+        assert!(lanes[1][0] && !lanes[1][1] && !lanes[2][0] && lanes[2][69]);
+        assert_eq!(CycleRows::from_lanes(&lanes), rows);
+        assert_eq!(rows.row(1), [1, 0]);
+        assert!(rows.row(3).is_empty(), "past the end: nothing to drive");
+        // wire planes are the transpose, canonical in both directions
+        let planes = rows.to_planes();
+        assert_eq!(planes, BitTensor::from_lanes(&lanes));
+        assert_eq!(CycleRows::from(planes), rows);
+        assert_eq!(CycleRows::from(Stimulus { cycles: lanes }), rows);
+
+        assert_eq!(CycleRows::from_text(&["10", "1x"]).unwrap_err().line, 2);
+        assert_eq!(CycleRows::from_text(&["10", "101"]).unwrap_err().line, 2);
+        let none = CycleRows::from_text::<&str>(&[]).unwrap();
+        assert_eq!((none.num_cycles(), none.ports()), (0, 0));
+        // a malformed testbench keeps its widest cycle: nothing is truncated
+        assert_eq!(
+            CycleRows::from_lanes(&[vec![true], vec![false; 3]]).ports(),
+            3
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! inverses and lane-scatter must be exact for arbitrary feature widths
 //! and batch sizes 1..=300 — including ragged batches whose last word is
 //! only partially filled — and tail garbage must never leak into a valid
-//! lane. The block transposes (`gather_rows` / `scatter_rows`) and the
-//! scalar conversions are held to the same per-bit reference.
+//! lane. The block transposes (`gather_rows` / `scatter_rows`, and
+//! `transpose` over them) and the scalar conversions are held to the same
+//! per-bit reference.
 
 use c2nn_core::bitplane::BitTensor;
 use proptest::prelude::*;
@@ -131,6 +132,43 @@ proptest! {
         prop_assert_eq!(back, rows);
     }
 
+    /// `transpose` (wire planes ⇄ cycle rows) is an involution, equals the
+    /// naive bit loop, and leaves zero tails whatever the source's tail
+    /// holds — for shapes crossing 64 in either dimension, `0 × n` and
+    /// `n × 0` included.
+    #[test]
+    fn transpose_is_an_involution_matching_the_bit_loop(
+        features in 0usize..=200,
+        batch in 0usize..=200,
+        garbage in any::<u64>(),
+        bits in proptest::collection::vec(any::<bool>(), 1..512),
+    ) {
+        let mut t = BitTensor::zeros(features, batch);
+        for f in 0..features {
+            for l in (0..batch).filter(|l| bits[(l * features + f) % bits.len()]) {
+                t.set_bit(f, l, true);
+            }
+        }
+        let canonical = t.clone();
+        let (w, mask) = (t.words_per_feature(), t.tail_mask());
+        if mask != !0 {
+            for f in 0..features {
+                t.data_mut()[f * w + w - 1] |= garbage & !mask;
+            }
+        }
+        let tt = t.transpose();
+        prop_assert_eq!((tt.features(), tt.batch()), (batch, features));
+        let mut naive = BitTensor::zeros(batch, features);
+        for f in 0..features {
+            for l in (0..batch).filter(|&l| t.get_bit(f, l)) {
+                naive.set_bit(l, f, true);
+            }
+        }
+        // word-for-word: every tail bit of the transpose is zero
+        prop_assert_eq!(&tt, &naive);
+        prop_assert_eq!(tt.transpose(), canonical);
+    }
+
     /// Planes ↔ exact 0/1 scalars (the CSR engine's port conversion) is
     /// the identity and packs to the canonical zero-tail form.
     #[test]
@@ -153,4 +191,22 @@ proptest! {
         back.pack_scalars(&scalars);
         prop_assert_eq!(back, t);
     }
+}
+
+/// A row with too few words — how a finished testbench looks to the ragged
+/// driver — gathers as an all-zero lane and takes nothing on scatter.
+#[test]
+fn short_rows_gather_as_zero_and_scatter_nowhere() {
+    let features = 70;
+    let full = vec![!0u64, 0x3f];
+    let rows = vec![full.clone(), Vec::new(), vec![!0u64]];
+    let mut t = BitTensor::zeros(0, 0);
+    t.gather_rows(features, &rows, |r| r);
+    for f in 0..features {
+        let lanes: Vec<bool> = (0..3).map(|l| t.get_bit(f, l)).collect();
+        assert_eq!(lanes, [true, false, f < 64], "feature {f}");
+    }
+    let mut back = vec![vec![0; 2], Vec::new(), vec![0]];
+    t.scatter_rows(&mut back, |r| r);
+    assert_eq!(back, rows);
 }

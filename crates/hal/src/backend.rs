@@ -17,8 +17,10 @@
 //! the next-best candidate instead of discovering the failure inside a
 //! batcher thread.
 
-use crate::ragged::{RaggedBatch, Testbench};
-use c2nn_core::{BenchResult, BitTensor, CompiledNn, Session, SimError, StepShape, Stimulus};
+use crate::ragged::RaggedBatch;
+use c2nn_core::{
+    BenchResult, BitTensor, CompiledNn, CycleRows, Session, SimError, StepShape, Stimulus,
+};
 use std::fmt;
 use std::sync::Arc;
 
@@ -174,20 +176,24 @@ pub trait Plan: Send + Sync {
     /// once, one forward pass per cycle across all lanes; shorter
     /// testbenches idle with zero inputs until the longest finishes, and
     /// their recorded outputs stop at their own length (the same contract
-    /// as [`c2nn_core::run_batch`]).
+    /// as [`c2nn_core::run_batch`]). This is the bit-vector edge of
+    /// [`RaggedBatch`]: each stimulus is packed into [`CycleRows`] once on
+    /// the way in and each result unpacked once on the way out.
     fn execute_batch(&self, stims: &[Stimulus]) -> Result<Vec<BenchResult>, SimError> {
         let mut runner = self.runner();
-        let benches = stims.iter().map(|s| Testbench::Lanes(&s.cycles)).collect();
-        let mut run = RaggedBatch::start(runner.as_mut(), benches)?;
+        let pack = |s: &Stimulus| CycleRows::from_lanes(&s.cycles);
+        let rows: Vec<CycleRows> = stims.iter().map(pack).collect();
+        let mut run = RaggedBatch::start(runner.as_mut(), rows.iter().collect())?;
         while !run.done() {
             run.step()?;
         }
-        let results = run.finish().into_iter();
-        Ok(results
-            .map(|out| BenchResult {
-                cycles: out.into_lanes(),
-            })
-            .collect())
+        let outputs = run.finish();
+        // the packed stimuli are dead weight while the outputs unpack
+        drop(rows);
+        let unpack = |out: CycleRows| BenchResult {
+            cycles: out.lanes(),
+        };
+        Ok(outputs.into_iter().map(unpack).collect())
     }
 }
 

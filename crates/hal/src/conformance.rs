@@ -149,30 +149,38 @@ pub fn check_backend(backend: &dyn Backend) {
 
 /// Ragged `execute_batch` semantics: shorter testbenches idle with zero
 /// inputs but record only their own length — byte-identical to
-/// [`c2nn_core::run_batch`] on the same stimuli.
+/// [`c2nn_core::run_batch`] (the independent `Dense` path) on the same
+/// stimuli. Two batches: a handful of lanes including an empty testbench,
+/// and 70 lanes of 130 down to 61 cycles, so the packed testbenches and
+/// the per-cycle block transposes cross a word boundary in lanes and in
+/// cycles.
 pub fn check_ragged_batches(backend: &dyn Backend) {
     let nl = c2nn_circuits::uart();
+    let wide: Vec<usize> = (0..70).map(|lane| 130 - lane).collect();
     for (cfg, opts) in compile_configs() {
         let name = format!("{}[{cfg}]", backend.name());
         let nn = Arc::new(compile(&nl, opts).unwrap());
         let plan = backend.admit(&nn).unwrap();
         let pi = nn.num_primary_inputs;
         let mut rng = Lcg(0x4a66 ^ backend.name().len() as u64);
-        // ragged lengths including an empty testbench
-        let stims: Vec<Stimulus> = [7usize, 0, 12, 3, 12, 1]
-            .iter()
-            .map(|&len| Stimulus {
-                cycles: rng.lanes(len, pi),
-            })
-            .collect();
-        let got = plan.execute_batch(&stims).unwrap();
-        let want = run_batch(&nn, &stims, Device::Serial);
-        assert_eq!(got.len(), want.len());
-        for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
-            assert_eq!(
-                g.cycles, w.cycles,
-                "{name}: ragged batch lane {lane} diverged"
-            );
+        for lengths in [&[7, 0, 12, 3, 12, 1][..], &wide] {
+            let stims: Vec<Stimulus> = lengths
+                .iter()
+                .map(|&len| Stimulus {
+                    cycles: rng.lanes(len, pi),
+                })
+                .collect();
+            let got = plan.execute_batch(&stims).unwrap();
+            let want = run_batch(&nn, &stims, Device::Serial);
+            assert_eq!(got.len(), want.len());
+            for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    g.cycles,
+                    w.cycles,
+                    "{name}: ragged batch lane {lane} of {} diverged",
+                    lengths.len()
+                );
+            }
         }
         // empty batch is a no-op, not an error
         assert!(plan.execute_batch(&[]).unwrap().is_empty());

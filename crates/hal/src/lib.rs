@@ -35,5 +35,5 @@ pub mod registry;
 pub use backend::{Backend, Manifest, Plan, Reject, Runner};
 pub use backends::{BitplaneBackend, CsrBackend};
 pub use cost::{BackendCalibration, DeviceCalibration};
-pub use ragged::{RaggedBatch, SimOutput, Testbench};
+pub use ragged::{RaggedBatch, SimOutput};
 pub use registry::{BackendRegistry, Candidate, Choice, SelectError, Selection};

@@ -3,110 +3,21 @@
 //!
 //! Every production job has this shape — `c2nn sim` / `c2nn bench` through
 //! [`Plan::execute_batch`](crate::Plan::execute_batch) and the serve
-//! scheduler's coalesced batches — so the two conversions it needs are
-//! written here once: *ragged stimuli → this cycle's input planes* and
-//! *output planes → per-lane results that stop at each lane's own length*.
-//! The lane set is fixed for the run, so the runner is reset once and its
-//! state never leaves the engine.
+//! scheduler's coalesced batches — and every testbench reaches it in the
+//! one in-memory form, [`CycleRows`]: whoever owns an edge (the CLI's
+//! `Stimulus`, a connection's wire planes or text) converts once per
+//! testbench. Each cycle is then two 64×64 block transposes — every lane's
+//! row `c` into the input planes, the output planes back into every lane's
+//! row `c` — and a finished testbench has no row `c`: it idles at zero and
+//! records nothing. The lane set is fixed for the run, so the runner is
+//! reset once and its state never leaves the engine.
 
 use crate::backend::Runner;
-use c2nn_core::{BitTensor, SimError};
+use c2nn_core::{BitTensor, CycleRows, SimError};
 
-/// One lane's testbench, borrowed in the shape it arrived in.
-#[derive(Clone, Copy, Debug)]
-pub enum Testbench<'a> {
-    /// `cycles[c][f]` = primary input `f` at cycle `c` (parsed text).
-    Lanes(&'a [Vec<bool>]),
-    /// Feature-major bit planes straight off the binary wire: `features` =
-    /// primary inputs, `batch` = cycles.
-    Packed(&'a BitTensor),
-}
-
-impl Testbench<'_> {
-    /// Number of stimulus cycles.
-    pub fn num_cycles(&self) -> usize {
-        match self {
-            Testbench::Lanes(cycles) => cycles.len(),
-            Testbench::Packed(planes) => planes.batch(),
-        }
-    }
-
-    /// The input width of every cycle this testbench carries.
-    fn widths(&self) -> impl Iterator<Item = usize> + '_ {
-        let (cycles, planes) = match *self {
-            Testbench::Lanes(cycles) => (cycles, None),
-            Testbench::Packed(planes) => (&[][..], Some(planes.features())),
-        };
-        cycles.iter().map(Vec::len).chain(planes)
-    }
-
-    /// Set lane `lane` of `x` to this testbench's inputs at `cycle` (`x` is
-    /// pre-zeroed; a finished testbench idles at zero).
-    fn load(&self, cycle: usize, lane: usize, x: &mut BitTensor) {
-        match self {
-            Testbench::Lanes(cycles) => {
-                let bits = cycles.get(cycle).into_iter().flatten();
-                for (f, _) in bits.enumerate().filter(|(_, &bit)| bit) {
-                    x.set_bit(f, lane, true);
-                }
-            }
-            Testbench::Packed(planes) if cycle < planes.batch() => {
-                for f in (0..planes.features()).filter(|&f| planes.get_bit(f, cycle)) {
-                    x.set_bit(f, lane, true);
-                }
-            }
-            Testbench::Packed(_) => {}
-        }
-    }
-}
-
-/// One lane's outputs, in the shape its testbench arrived in.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SimOutput {
-    /// `outputs[c][j]` = primary output `j` at cycle `c` (LSB-first).
-    Lanes(Vec<Vec<bool>>),
-    /// Feature-major output bit planes (`features` = primary outputs,
-    /// `batch` = cycles, ragged tails zero).
-    Packed(BitTensor),
-}
-
-impl SimOutput {
-    /// Number of simulated cycles.
-    pub fn num_cycles(&self) -> usize {
-        match self {
-            SimOutput::Lanes(v) => v.len(),
-            SimOutput::Packed(bt) => bt.batch(),
-        }
-    }
-
-    /// Per-cycle output bit vectors, converting packed planes if needed.
-    pub fn lanes(&self) -> Vec<Vec<bool>> {
-        match self {
-            SimOutput::Lanes(v) => v.clone(),
-            SimOutput::Packed(bt) => bt.to_lanes(),
-        }
-    }
-
-    /// [`SimOutput::lanes`] by value: lane results move out uncopied.
-    pub fn into_lanes(self) -> Vec<Vec<bool>> {
-        match self {
-            SimOutput::Lanes(v) => v,
-            packed => packed.lanes(),
-        }
-    }
-
-    /// Append lane `lane` of this cycle's output planes `y`.
-    fn record(&mut self, cycle: usize, lane: usize, y: &BitTensor) {
-        match self {
-            SimOutput::Lanes(v) => v.push((0..y.features()).map(|f| y.get_bit(f, lane)).collect()),
-            SimOutput::Packed(out) => {
-                for f in (0..y.features()).filter(|&f| y.get_bit(f, lane)) {
-                    out.set_bit(f, cycle, true);
-                }
-            }
-        }
-    }
-}
+/// One lane's recorded outputs: as many rows as its testbench had cycles,
+/// one bit per primary output.
+pub type SimOutput = CycleRows;
 
 /// A ragged batch in flight on one runner. [`start`](RaggedBatch::start)
 /// validates and resets, [`step`](RaggedBatch::step) advances one cycle
@@ -114,7 +25,7 @@ impl SimOutput {
 /// [`finish`](RaggedBatch::finish) hands back one [`SimOutput`] per lane.
 pub struct RaggedBatch<'a> {
     runner: &'a mut (dyn Runner + 'a),
-    benches: Vec<Testbench<'a>>,
+    benches: Vec<&'a CycleRows>,
     outputs: Vec<SimOutput>,
     x: BitTensor,
     y: BitTensor,
@@ -124,30 +35,26 @@ pub struct RaggedBatch<'a> {
 
 impl<'a> RaggedBatch<'a> {
     /// Check every testbench's input width against the runner's network
-    /// (typed [`SimError::InputWidth`], nothing is truncated) and put one
-    /// lane per testbench at the power-on state.
+    /// (typed [`SimError::InputWidth`], nothing is truncated; a testbench
+    /// of no cycles has no width to be wrong) and put one lane per
+    /// testbench at the power-on state.
     pub fn start(
         runner: &'a mut (dyn Runner + 'a),
-        benches: Vec<Testbench<'a>>,
+        benches: Vec<&'a CycleRows>,
     ) -> Result<Self, SimError> {
         let shape = runner.shape();
         let lanes = benches.len();
-        shape.check_inputs(lanes, lanes, benches.iter().flat_map(Testbench::widths))?;
+        let driven = benches.iter().filter(|b| b.num_cycles() > 0);
+        shape.check_inputs(lanes, lanes, driven.map(|b| b.ports()))?;
         runner.reset(lanes);
         let outputs = benches
             .iter()
-            .map(|b| match b {
-                Testbench::Lanes(cycles) => SimOutput::Lanes(Vec::with_capacity(cycles.len())),
-                Testbench::Packed(planes) => {
-                    SimOutput::Packed(BitTensor::zeros(shape.outputs, planes.batch()))
-                }
-            })
-            .collect();
+            .map(|b| SimOutput::zeros(b.num_cycles(), shape.outputs));
         Ok(RaggedBatch {
             runner,
-            cycles: benches.iter().map(Testbench::num_cycles).max().unwrap_or(0),
+            cycles: benches.iter().map(|b| b.num_cycles()).max().unwrap_or(0),
+            outputs: outputs.collect(),
             benches,
-            outputs,
             x: BitTensor::zeros(shape.inputs, lanes),
             y: BitTensor::zeros(0, 0),
             cycle: 0,
@@ -167,15 +74,11 @@ impl<'a> RaggedBatch<'a> {
     /// Run one cycle across all lanes.
     pub fn step(&mut self) -> Result<(), SimError> {
         let c = self.cycle;
-        self.x.data_mut().fill(0);
-        for (lane, bench) in self.benches.iter().enumerate() {
-            bench.load(c, lane, &mut self.x);
-        }
+        let inputs = self.x.features();
+        self.x
+            .gather_rows(inputs, &self.benches, |bench| bench.row(c));
         self.runner.advance(&self.x, &mut self.y)?;
-        let live = self.benches.iter().zip(&mut self.outputs).enumerate();
-        for (lane, (_, out)) in live.filter(|(_, (b, _))| c < b.num_cycles()) {
-            out.record(c, lane, &self.y);
-        }
+        self.y.scatter_rows(&mut self.outputs, |out| out.row_mut(c));
         self.cycle += 1;
         Ok(())
     }

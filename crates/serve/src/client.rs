@@ -13,7 +13,7 @@ use crate::protocol::{
     write_wire_frame, FrameReader, ModelStatsReport, ProtocolError, Request, Response,
     ServerStatsReport, SimOutputs, StimPayload, WireFormat,
 };
-use c2nn_core::BitTensor;
+use c2nn_core::{BitTensor, CycleRows};
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
@@ -364,24 +364,21 @@ impl Client {
             deadline_ms,
         };
         match self.request(&req)? {
-            Response::SimResult { outputs, .. } => Ok(match outputs {
-                SimOutputs::Packed(planes) => planes,
-                // a server replying in text form (never the case for the
-                // packed dataflow today, but legal on the wire) still
-                // round-trips losslessly
-                SimOutputs::Text(lines) => {
-                    let features = lines.first().map_or(0, |l| l.len());
-                    let mut planes = BitTensor::zeros(features, lines.len());
-                    for (c, line) in lines.iter().enumerate() {
-                        for (f, ch) in line.chars().rev().enumerate() {
-                            if ch == '1' {
-                                planes.set_bit(f, c, true);
-                            }
-                        }
-                    }
-                    planes
-                }
-            }),
+            Response::SimResult {
+                outputs: SimOutputs::Packed(planes),
+                ..
+            } => Ok(planes),
+            // servers answer in the request's shape, but a text reply is
+            // legal on the wire and carries the same bits
+            Response::SimResult {
+                outputs: SimOutputs::Text(lines),
+                ..
+            } => match CycleRows::from_text(&lines) {
+                Ok(rows) => Ok(rows.to_planes()),
+                Err(e) => Err(ClientError::Protocol(ProtocolError {
+                    message: format!("sim result text: {e}"),
+                })),
+            },
             Response::ShuttingDown => Err(ClientError::ShuttingDown),
             _ => Err(ClientError::Unexpected("sim result")),
         }

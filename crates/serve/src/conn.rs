@@ -44,8 +44,9 @@ use crate::protocol::{
     PROTOCOL_VERSION,
 };
 use crate::registry::Registry;
-use crate::scheduler::{SimFailure, SimOutput, StimData};
+use crate::scheduler::{SimFailure, SimOutput};
 use crate::server::WirePolicy;
+use c2nn_core::CycleRows;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -371,33 +372,35 @@ impl Connection {
                 if let Err(e) = registry.admission().check_model_budget(depth) {
                     return Some(admit_error_response(e));
                 }
+                // The two wire shapes end here: either payload becomes the
+                // one in-memory testbench, and the reply is rendered back
+                // into the shape the request came in.
                 let pi = served.nn.num_primary_inputs;
-                let data: StimData = match stim {
+                let (rows, packed) = match stim {
                     StimPayload::Text(text) => match c2nn_core::parse_stim(&text, pi) {
-                        Ok(s) => s.into(),
+                        Ok(s) => (CycleRows::from(s), false),
                         Err(e) => return Some(error(e)),
                     },
-                    // Packed planes ride to the scheduler untouched — no
-                    // per-lane parse, no Vec<bool> expansion. Only the width
-                    // needs checking; the codec validated the plane shape.
+                    // the codec validated the plane shape; the width is the
+                    // model's to check
                     StimPayload::Packed(planes) if planes.features() != pi => {
                         return Some(error(format!(
                             "stimulus planes carry {} input bits; model '{model}' expects {pi}",
                             planes.features()
                         )));
                     }
-                    StimPayload::Packed(planes) => planes.into(),
+                    StimPayload::Packed(planes) => (CycleRows::from_planes(&planes), true),
                 };
                 // a deadline too far off to represent is no deadline
                 let deadline =
                     deadline_ms.and_then(|ms| now.checked_add(Duration::from_millis(ms)));
                 let done = Arc::clone(done);
                 served.submit_with(
-                    data,
+                    rows,
                     deadline,
                     Box::new(move |result| {
                         // runs on the batcher thread: format and hand over
-                        done(token, sim_reply(result));
+                        done(token, sim_reply(result, packed));
                         drop(permit); // budget released only once the reply is queued
                     }),
                 );
@@ -427,32 +430,18 @@ fn headers_end(buf: &[u8]) -> Option<usize> {
         .or_else(|| buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2))
 }
 
-/// Map a scheduler result to its wire reply. Packed results stay packed
-/// (the codec decides how to render them); lane results keep the legacy
-/// MSB-first strings.
-fn sim_reply(result: Result<SimOutput, SimFailure>) -> Response {
+/// Map a scheduler result to its wire reply, rendered `packed` (wire
+/// planes) or as one MSB-first string per cycle — whichever the request was.
+fn sim_reply(result: Result<SimOutput, SimFailure>, packed: bool) -> Response {
     match result {
-        Ok(out) => {
-            let cycles = out.num_cycles() as u64;
-            let outputs = match out {
-                SimOutput::Lanes(lanes) => SimOutputs::Text(
-                    lanes
-                        .iter()
-                        .map(|cycle| {
-                            // LSB-first bit vector → MSB-first string,
-                            // mirroring the `.stim` input reading order
-                            cycle
-                                .iter()
-                                .rev()
-                                .map(|&b| if b { '1' } else { '0' })
-                                .collect()
-                        })
-                        .collect(),
-                ),
-                SimOutput::Packed(planes) => SimOutputs::Packed(planes),
-            };
-            Response::SimResult { outputs, cycles }
-        }
+        Ok(out) => Response::SimResult {
+            cycles: out.num_cycles() as u64,
+            outputs: if packed {
+                SimOutputs::Packed(out.to_planes())
+            } else {
+                SimOutputs::Text(out.to_text())
+            },
+        },
         Err(SimFailure::DeadlineExceeded) => Response::DeadlineExceeded,
         Err(SimFailure::ShuttingDown) => Response::ShuttingDown,
         Err(failure @ SimFailure::Failed(_)) => error(failure),

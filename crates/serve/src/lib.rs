@@ -71,5 +71,5 @@ pub use protocol::{
     StimPayload, WireFormat, MAX_FRAME, PROTOCOL_VERSION,
 };
 pub use registry::{Registry, RegistryConfig};
-pub use scheduler::{BatchConfig, ServedModel, SimFailure, SimOutput, StimData};
+pub use scheduler::{BatchConfig, ServedModel, SimFailure, SimOutput};
 pub use server::{spawn_server, ServerConfig, ServerHandle, WirePolicy};

@@ -43,10 +43,9 @@ pub use binary::BinaryCodec;
 pub use framing::{write_frame, write_wire_frame, Frame, FrameBuffer, FrameReader};
 pub use json::JsonCodec;
 pub use types::{
-    planes_to_output_strings, planes_to_stim, stim_text_to_planes, stim_to_planes,
-    BackendSelectionReport, FrameLimits, ModelStatsReport, ProtocolError, Request, Response,
-    ServerStatsReport, SimOutputs, StimPayload, WireFormat, BINARY_MAGIC, BINARY_WIRE_VERSION,
-    MAX_FRAME, PROTOCOL_VERSION,
+    stim_text_to_planes, stim_to_planes, BackendSelectionReport, FrameLimits, ModelStatsReport,
+    ProtocolError, Request, Response, ServerStatsReport, SimOutputs, StimPayload, WireFormat,
+    BINARY_MAGIC, BINARY_WIRE_VERSION, MAX_FRAME, PROTOCOL_VERSION,
 };
 
 // ---------------------------------------------------------------------------

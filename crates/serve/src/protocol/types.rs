@@ -2,7 +2,7 @@
 //! conversions both codecs share.
 
 use super::{BinaryCodec, Codec, JsonCodec};
-use c2nn_core::{parse_stim, BitTensor, Stimulus};
+use c2nn_core::{parse_stim, BitTensor, CycleRows, Stimulus};
 use std::fmt;
 use std::time::Duration;
 
@@ -151,17 +151,6 @@ impl From<BitTensor> for StimPayload {
     }
 }
 
-impl StimPayload {
-    /// Number of stimulus cycles this payload describes, if that is
-    /// knowable without parsing (packed payloads carry it explicitly).
-    pub fn packed_cycles(&self) -> Option<usize> {
-        match self {
-            StimPayload::Text(_) => None,
-            StimPayload::Packed(bt) => Some(bt.batch()),
-        }
-    }
-}
-
 /// A `sim` response's per-cycle primary outputs, in either wire shape.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SimOutputs {
@@ -187,7 +176,7 @@ impl SimOutputs {
     pub fn to_strings(&self) -> Vec<String> {
         match self {
             SimOutputs::Text(v) => v.clone(),
-            SimOutputs::Packed(bt) => planes_to_output_strings(bt),
+            SimOutputs::Packed(bt) => CycleRows::from_planes(bt).to_text(),
         }
     }
 }
@@ -446,28 +435,6 @@ pub fn stim_to_planes(stim: &Stimulus) -> BitTensor {
     BitTensor::from_lanes(&stim.cycles)
 }
 
-/// Unpack wire bit planes into the scheduler's per-cycle lane vectors
-/// (the inverse of [`stim_to_planes`]).
-pub fn planes_to_stim(planes: &BitTensor) -> Stimulus {
-    Stimulus {
-        cycles: planes.to_lanes(),
-    }
-}
-
-/// Render packed output planes as per-cycle MSB-first bit strings — the
-/// same reading order as the `.stim` input format (output 0, the LSB,
-/// is the last character).
-pub fn planes_to_output_strings(planes: &BitTensor) -> Vec<String> {
-    (0..planes.batch())
-        .map(|c| {
-            (0..planes.features())
-                .rev()
-                .map(|f| if planes.get_bit(f, c) { '1' } else { '0' })
-                .collect()
-        })
-        .collect()
-}
-
 /// Validate decoded planes: word count must match the declared shape and
 /// ragged tail bits must be zero (the canonical wire form, so
 /// encode/decode round-trips are identity).
@@ -517,10 +484,10 @@ mod tests {
         assert_eq!(planes.features(), 2);
         assert_eq!(planes.batch(), 4);
         let stim = parse_stim(text, 2).unwrap();
-        assert_eq!(planes_to_stim(&planes).cycles, stim.cycles);
+        assert_eq!(planes.to_lanes(), stim.cycles);
         // MSB-first rendering matches the input reading order
         assert_eq!(
-            planes_to_output_strings(&planes),
+            SimOutputs::Packed(planes).to_strings(),
             vec!["10", "01", "01", "11"]
         );
     }

@@ -8,7 +8,10 @@
 //! HAL-runner pass per cycle over all lanes. Per-lane outputs scatter
 //! back through each job's reply channel; a lane whose client vanished
 //! mid-batch just has its reply dropped on the floor — the other lanes are
-//! independent columns of the forward pass and are unaffected.
+//! independent columns of the forward pass and are unaffected. A job is one
+//! [`CycleRows`] testbench in and one out: which wire shape or codec a
+//! request arrived in ends in [`Connection`](crate::Connection), and
+//! nothing here branches on it.
 //!
 //! Which execution engine steps the batch is decided *before* the batcher
 //! thread exists: the registry resolves the configured
@@ -50,10 +53,8 @@ use crate::admission::{Admission, Pressure};
 use crate::chaos::Chaos;
 use crate::protocol::ModelStatsReport;
 use crate::stats::ModelCounters;
-use c2nn_core::{BitTensor, CompiledNn, Stimulus};
-use c2nn_hal::{
-    BackendRegistry, Choice, DeviceCalibration, Plan, RaggedBatch, Runner, Selection, Testbench,
-};
+use c2nn_core::{CompiledNn, CycleRows};
+use c2nn_hal::{BackendRegistry, Choice, DeviceCalibration, Plan, RaggedBatch, Runner, Selection};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -89,49 +90,7 @@ impl Default for BatchConfig {
     }
 }
 
-/// One testbench's stimulus as submitted: parsed per-cycle lane vectors
-/// (the JSON wire path) or pre-packed bit planes straight off the binary
-/// wire (`features` = primary inputs, `batch` = cycles). The reply comes
-/// back in the matching [`SimOutput`] shape.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum StimData {
-    /// `cycles[c][f]` = primary input `f` at cycle `c`.
-    Lanes(Stimulus),
-    /// Feature-major bit planes, bit `c % 64` of word `f * W + c / 64`.
-    Packed(BitTensor),
-}
-
-impl StimData {
-    /// Number of stimulus cycles.
-    pub fn num_cycles(&self) -> usize {
-        self.testbench().num_cycles()
-    }
-
-    /// Borrow in the shape the ragged driver reads.
-    fn testbench(&self) -> Testbench<'_> {
-        match self {
-            StimData::Lanes(s) => Testbench::Lanes(&s.cycles),
-            StimData::Packed(bt) => Testbench::Packed(bt),
-        }
-    }
-}
-
-impl From<Stimulus> for StimData {
-    fn from(s: Stimulus) -> Self {
-        StimData::Lanes(s)
-    }
-}
-
-impl From<BitTensor> for StimData {
-    fn from(bt: BitTensor) -> Self {
-        StimData::Packed(bt)
-    }
-}
-
-/// One testbench's results, in the shape its stimulus arrived in:
-/// per-cycle primary-output bit vectors for [`StimData::Lanes`] jobs,
-/// packed bit planes (`features` = primary outputs, `batch` = cycles,
-/// ragged tails zero) for [`StimData::Packed`] jobs.
+/// One testbench's recorded outputs, as many cycles as its stimulus had.
 pub use c2nn_hal::SimOutput;
 
 /// Why a submitted job did not produce outputs. Every variant maps to a
@@ -161,7 +120,7 @@ impl std::fmt::Display for SimFailure {
 type ReplyHook = Box<dyn FnOnce(Result<SimOutput, SimFailure>) + Send>;
 
 struct SimJob {
-    stim: StimData,
+    stim: CycleRows,
     reply: ReplyHook,
     enqueued: Instant,
     /// Absolute client deadline; `None` means "whenever".
@@ -278,18 +237,20 @@ impl ServedModel {
             .report(&self.name, self.bytes, &self.backend, self.auto_selected)
     }
 
-    /// Enqueue one testbench (already width-checked against
-    /// `nn.num_primary_inputs` — the batch driver refuses a wrong-width
-    /// stimulus typed, failing the batch it was coalesced into) and return
-    /// the channel its result will arrive on. The caller blocks on `recv()`
-    /// for as long as it likes — or drops the receiver to abandon the
-    /// request. A `deadline` in the past is legal: the scheduler sheds the
-    /// lane with a typed reply. A torn-down batcher yields
-    /// `Err(SimFailure::ShuttingDown)` on the channel, not a disconnected
-    /// receiver.
+    /// Enqueue one testbench — [`CycleRows`], or an edge shape that
+    /// converts into them here, once: a parsed
+    /// [`Stimulus`](c2nn_core::Stimulus) or wire planes (`inputs × cycles`)
+    /// — already width-checked against `nn.num_primary_inputs` (the batch
+    /// driver refuses a wrong-width stimulus typed, failing the batch it
+    /// was coalesced into) and return the channel its result will arrive
+    /// on. The caller blocks on `recv()` for as long as it likes — or
+    /// drops the receiver to abandon the request. A `deadline` in the past
+    /// is legal: the scheduler sheds the lane with a typed reply. A
+    /// torn-down batcher yields `Err(SimFailure::ShuttingDown)` on the
+    /// channel, not a disconnected receiver.
     pub fn submit(
         &self,
-        stim: impl Into<StimData>,
+        stim: impl Into<CycleRows>,
         deadline: Option<Instant>,
     ) -> Receiver<Result<SimOutput, SimFailure>> {
         let (tx, rx) = mpsc::channel();
@@ -309,7 +270,7 @@ impl ServedModel {
     /// [`SimFailure::ShuttingDown`].
     pub fn submit_with(
         &self,
-        stim: impl Into<StimData>,
+        stim: impl Into<CycleRows>,
         deadline: Option<Instant>,
         on_reply: Box<dyn FnOnce(Result<SimOutput, SimFailure>) + Send>,
     ) {
@@ -415,7 +376,7 @@ fn run_coalesced(
 
     let inject_panic = chaos.is_some_and(Chaos::take_worker_panic);
     let mut poisoned = false;
-    let benches = jobs.iter().map(|j| j.stim.testbench()).collect();
+    let benches = jobs.iter().map(|j| &j.stim).collect();
     let outcome = match RaggedBatch::start(runner, benches) {
         Err(e) => Err(SimFailure::Failed(e.to_string())),
         Ok(mut run) => loop {
@@ -469,7 +430,7 @@ mod tests {
     use super::*;
     use crate::chaos::ChaosConfig;
     use c2nn_circuits::generators::counter;
-    use c2nn_core::{compile, parse_stim, CompileOptions};
+    use c2nn_core::{compile, parse_stim, BitTensor, CompileOptions};
 
     fn counter_nn() -> CompiledNn<f32> {
         compile(&counter(4), CompileOptions::with_l(4)).unwrap()
@@ -479,7 +440,7 @@ mod tests {
         Choice::Named(backend.to_string())
     }
 
-    /// Decode per-cycle counter values from a reply, whatever its shape.
+    /// Decode per-cycle counter values from a reply.
     fn counter_vals(out: &SimOutput) -> Vec<u32> {
         out.lanes()
             .iter()
@@ -663,46 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_stimuli_get_packed_replies_bit_exact_with_lanes() {
-        let nn = counter_nn();
-        let model = ServedModel::spawn_standalone(
-            "ctr",
-            nn,
-            BatchConfig {
-                max_batch: 8,
-                max_wait: Duration::from_millis(200),
-                backend: named("bitplane"),
-            },
-        );
-        let stim = parse_stim("1 x5\n", 1).unwrap();
-        let packed = BitTensor::from_lanes(&stim.cycles);
-        let rx_lanes = model.submit(stim, None);
-        let rx_packed = model.submit(packed, None);
-        let out_lanes = rx_lanes.recv().unwrap().unwrap();
-        let out_packed = rx_packed.recv().unwrap().unwrap();
-        assert!(
-            matches!(out_lanes, SimOutput::Lanes(_)),
-            "lane stimuli reply in lanes"
-        );
-        match &out_packed {
-            SimOutput::Packed(bt) => {
-                assert_eq!((bt.features(), bt.batch()), (4, 5));
-                // canonical: ragged tail bits are zero
-                let mut canon = bt.clone();
-                canon.mask_tails();
-                assert_eq!(&canon, bt);
-            }
-            other => panic!("packed stimuli reply packed, got {other:?}"),
-        }
-        assert_eq!(
-            out_lanes.lanes(),
-            out_packed.lanes(),
-            "both shapes are bit-exact"
-        );
-        assert_eq!(counter_vals(&out_packed), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
     fn wrong_width_stimulus_fails_typed_instead_of_being_truncated() {
         for backend in BackendRegistry::global().names() {
             let model = ServedModel::spawn_standalone(
@@ -714,11 +635,11 @@ mod tests {
                     backend: named(backend),
                 },
             );
-            // the counter has one input; both shapes carry two
+            // the counter has one input; both births carry two
             let wide = parse_stim("11 x3\n", 2).unwrap();
             for stim in [
-                StimData::from(BitTensor::from_lanes(&wide.cycles)),
-                StimData::from(wide),
+                CycleRows::from(BitTensor::from_lanes(&wide.cycles)),
+                CycleRows::from(wide),
             ] {
                 match model.submit(stim, None).recv().unwrap() {
                     Err(SimFailure::Failed(msg)) => assert!(

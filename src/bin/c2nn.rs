@@ -276,12 +276,7 @@ fn main() {
                 benches.len()
             );
             for (f, r) in tb_files.iter().zip(&results) {
-                let last = r.cycles.last().map(|c| {
-                    c.iter()
-                        .rev()
-                        .map(|&b| if b { '1' } else { '0' })
-                        .collect::<String>()
-                });
+                let last = r.cycles.last().map(|c| c2nn::core::bits_to_text(c));
                 outln!(
                     "  {f}: {} cycles, final outputs {}",
                     r.cycles.len(),
@@ -316,12 +311,7 @@ fn main() {
                     nn.gate_count as f64 * cycles as f64 * batch as f64 / dt
                 );
                 if let Some(out) = last {
-                    let lane0 = &out.to_lanes()[0];
-                    let word: String = lane0
-                        .iter()
-                        .rev()
-                        .map(|&b| if b { '1' } else { '0' })
-                        .collect();
+                    let word = c2nn::core::bits_to_text(&out.to_lanes()[0]);
                     outln!("lane 0 outputs after final cycle: {word}");
                 }
                 return;
@@ -343,11 +333,7 @@ fn main() {
                 nn.gate_count as f64 * cycles as f64 * batch as f64 / dt
             );
             if let Some(last) = results.first().and_then(|r| r.cycles.last()) {
-                let word: String = last
-                    .iter()
-                    .rev()
-                    .map(|&b| if b { '1' } else { '0' })
-                    .collect();
+                let word = c2nn::core::bits_to_text(last);
                 outln!("lane 0 outputs after final cycle: {word}");
             }
         }

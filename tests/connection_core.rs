@@ -216,6 +216,75 @@ fn a_pipelined_transcript_is_byte_identical_at_every_split_point() {
 }
 
 #[test]
+fn the_reply_takes_the_shape_of_the_request_payload_in_either_codec() {
+    // past `Connection` a testbench has one form; which wire shape the
+    // reply is rendered in is remembered here, per request
+    let driver = Driver::default();
+    let text = "1 x70\n0 x3\n1 x57\n";
+    let planes = stim_to_planes(&parse_stim(text, 1).unwrap());
+    let want = refsim_lanes(text);
+    for codec in [&JsonCodec as &dyn Codec, &BinaryCodec] {
+        let mut bytes = codec.encode_request(&sim_request(text.into()));
+        bytes.extend(codec.encode_request(&sim_request(planes.clone().into())));
+        let out = driver.pump(&mut driver.conn(), &bytes);
+        assert_eq!(
+            decode_replies(&out),
+            vec![
+                Response::SimResult {
+                    outputs: SimOutputs::Text(refsim_strings(text)),
+                    cycles: 130,
+                },
+                Response::SimResult {
+                    // canonical planes: ragged tails zero
+                    outputs: SimOutputs::Packed(BitTensor::from_lanes(&want)),
+                    cycles: 130,
+                },
+            ]
+        );
+        let reply = SimOutputs::Packed(BitTensor::from_lanes(&want));
+        assert_eq!(reply.to_strings(), refsim_strings(text));
+        let expect_binary = codec.encode_request(&Request::Ping)[0] == BINARY_MAGIC;
+        assert_eq!(
+            out[0] == BINARY_MAGIC,
+            expect_binary,
+            "replies in the frame's codec"
+        );
+    }
+}
+
+#[test]
+fn a_repeat_bomb_gets_one_typed_error_and_the_line_keeps_serving() {
+    // each repeat is within its bound; expanded, the 2 KB frame would be
+    // 1.8e8 cycles (over 5 GB of bit vectors)
+    let driver = Driver::default();
+    let bomb = "1 x1000000\n".repeat(180);
+    let text = "1 x6\n0\n1 x2\n";
+    for codec in [&JsonCodec as &dyn Codec, &BinaryCodec] {
+        let mut conn = driver.conn();
+        let mut bytes = codec.encode_request(&sim_request(bomb.as_str().into()));
+        bytes.extend(codec.encode_request(&sim_request(text.into())));
+        let replies = decode_replies(&driver.pump(&mut conn, &bytes));
+        match &replies[..] {
+            [Response::Error { message }, served] => {
+                assert!(
+                    message.contains("line 2: testbench exceeds 1000000 cycles"),
+                    "{message}"
+                );
+                assert_eq!(
+                    *served,
+                    Response::SimResult {
+                        outputs: SimOutputs::Text(refsim_strings(text)),
+                        cycles: 9,
+                    }
+                );
+            }
+            other => panic!("wanted one typed error then the next sim, got {other:?}"),
+        }
+        assert!(conn.wants_read() && !conn.is_finished());
+    }
+}
+
+#[test]
 fn only_a_get_prefix_sniffs_http() {
     let driver = Driver::default();
     let mut conn = driver.conn();

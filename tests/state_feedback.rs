@@ -4,6 +4,9 @@
 //!
 //! * ragged `Plan::execute_batch` (state resident in the engine) is
 //!   bit-exact against `refsim::CycleSim`, lane by lane;
+//! * a `RaggedBatch` of testbenches born as `Stimulus` and as wire planes,
+//!   with lengths on both sides of a word boundary, follows the same
+//!   reference, and finished lanes idle at zero;
 //! * sessions joined, parked, reordered and dropped mid-stream through
 //!   `Runner::step_planes` follow the same reference, and end in the state
 //!   the lane reaches when it runs alone;
@@ -14,9 +17,12 @@
 //! Fixed seeds throughout: a failure names its backend, circuit, lane
 //! count and lane.
 
-use c2nn::core::{compile, BitTensor, CompileOptions, CompiledNn, Session, SimError, Stimulus};
+use c2nn::core::{
+    compile, BitTensor, CompileOptions, CompiledNn, CycleRows, Session, SimError, StepShape,
+    Stimulus,
+};
 use c2nn::hal::conformance::compile_configs;
-use c2nn::hal::{Backend, BackendRegistry, Plan};
+use c2nn::hal::{Backend, BackendRegistry, Plan, RaggedBatch, Runner};
 use c2nn::netlist::Netlist;
 use c2nn::refsim::CycleSim;
 use std::sync::Arc;
@@ -126,6 +132,122 @@ fn ragged_execute_batch_is_bit_exact_against_refsim() {
             }
         }
         assert!(plan.execute_batch(&[]).unwrap().is_empty(), "{tag}");
+    }
+}
+
+/// A runner that checks what the ragged driver feeds it: a lane whose
+/// testbench has ended must be driven with all-zero inputs.
+struct IdleSpy<'a> {
+    inner: Box<dyn Runner + 'a>,
+    lengths: Vec<usize>,
+    cycle: usize,
+    tag: String,
+}
+
+impl Runner for IdleSpy<'_> {
+    fn shape(&self) -> StepShape {
+        self.inner.shape()
+    }
+
+    fn reset(&mut self, lanes: usize) {
+        assert_eq!(lanes, self.lengths.len(), "{}", self.tag);
+        self.inner.reset(lanes)
+    }
+
+    fn advance(&mut self, x: &BitTensor, y: &mut BitTensor) -> Result<(), SimError> {
+        for (lane, _) in self
+            .lengths
+            .iter()
+            .enumerate()
+            .filter(|(_, &len)| len <= self.cycle)
+        {
+            let driven = (0..x.features()).any(|f| x.get_bit(f, lane));
+            assert!(
+                !driven,
+                "{}: finished lane {lane} driven at cycle {}",
+                self.tag, self.cycle
+            );
+        }
+        self.cycle += 1;
+        self.inner.advance(x, y)
+    }
+
+    fn read_state(&self, planes: &mut BitTensor) {
+        self.inner.read_state(planes)
+    }
+
+    fn write_state(&mut self, planes: &BitTensor) {
+        self.inner.write_state(planes)
+    }
+}
+
+#[test]
+fn ragged_batches_of_either_birth_follow_refsim_and_idle_at_zero() {
+    const LENGTHS: [usize; 6] = [130, 0, 1, 63, 64, 65];
+    for Case { tag, nl, nn, plan } in admitted() {
+        let pi = nn.num_primary_inputs;
+        for lanes in LANE_COUNTS {
+            let tag = format!("{tag} × {lanes}");
+            let mut rng = Lcg(0xb127 ^ lanes as u64);
+            let stims: Vec<Vec<Vec<bool>>> =
+                (0..lanes).map(|l| rng.rows(LENGTHS[l % 6], pi)).collect();
+            // every length is born both ways: six lanes from `Stimulus`,
+            // the next six from wire planes, and so on
+            let from_planes = |l: usize| l % 12 >= 6;
+            let benches: Vec<CycleRows> = stims
+                .iter()
+                .enumerate()
+                .map(|(l, cycles)| match from_planes(l) {
+                    true => CycleRows::from(BitTensor::from_lanes(cycles)),
+                    false => CycleRows::from(Stimulus {
+                        cycles: cycles.clone(),
+                    }),
+                })
+                .collect();
+            let mut spy = IdleSpy {
+                inner: plan.runner(),
+                lengths: stims.iter().map(Vec::len).collect(),
+                cycle: 0,
+                tag: tag.clone(),
+            };
+            let mut run = RaggedBatch::start(&mut spy, benches.iter().collect()).unwrap();
+            while !run.done() {
+                run.step().unwrap();
+            }
+            assert_eq!(
+                run.cycle(),
+                130,
+                "{tag}: the longest testbench sets the run"
+            );
+            for (l, (out, stim)) in run.finish().iter().zip(&stims).enumerate() {
+                let want = reference(&nl, stim);
+                assert_eq!(out.lanes(), want, "{tag}: lane {l} diverged from refsim");
+                if !want.is_empty() {
+                    assert_eq!(
+                        out.to_planes(),
+                        BitTensor::from_lanes(&want),
+                        "{tag}: lane {l}"
+                    );
+                }
+            }
+        }
+
+        // a wrong-width testbench of either birth fails the whole batch,
+        // typed, before anything runs
+        let good = CycleRows::zeros(3, pi);
+        let wide = vec![vec![false; pi + 1]; 2];
+        for bad in [
+            CycleRows::from(BitTensor::from_lanes(&wide)),
+            CycleRows::from(Stimulus { cycles: wide }),
+        ] {
+            let mut runner = plan.runner();
+            let refused = RaggedBatch::start(runner.as_mut(), vec![&good, &bad, &good]).err();
+            let width = SimError::InputWidth {
+                expected: pi,
+                got: pi + 1,
+            };
+            assert_eq!(refused, Some(width), "{tag}");
+        }
     }
 }
 
