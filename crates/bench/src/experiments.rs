@@ -5,7 +5,7 @@ use crate::device_model::DeviceModel;
 use crate::harness::{sci, time_adaptive, Throughput};
 use c2nn_boolfn::{lut_to_poly, lut_to_poly_dnf, Lut};
 use c2nn_circuits::table1_suite;
-use c2nn_core::{compile, compile_as, CompileOptions, CompiledNn, PassId, PassSet, Simulator};
+use c2nn_core::{compile, compile_as, CompileOptions, CompiledNn, PassSet, Simulator};
 use c2nn_json::json_obj;
 use c2nn_refsim::CycleSim;
 use c2nn_tensor::{Dense, Device};
@@ -45,6 +45,13 @@ json_obj!(Table1Row {
     nn_modeled_gcs,
     nn_modeled_speedup
 });
+
+/// The paper's network at `L`: every pass, the Fig. 5 `layer-merge`
+/// included (the compiler's default leaves the merge out), so the tables
+/// and figures describe what the paper builds.
+fn paper(l: usize) -> CompileOptions {
+    CompileOptions::with_l(l).with_passes(PassSet::all())
+}
 
 /// Measure the reference (Verilator-substitute) throughput of a netlist.
 pub fn refsim_throughput(nl: &c2nn_netlist::Netlist, budget: Duration) -> Throughput {
@@ -93,7 +100,7 @@ pub fn table1(ls: &[usize], batch: usize, budget: Duration) -> Vec<Table1Row> {
         );
         for &l in ls {
             let t0 = Instant::now();
-            let nn = compile(&nl, CompileOptions::with_l(l)).expect("compile");
+            let nn = compile(&nl, paper(l)).expect("compile");
             let generation_s = t0.elapsed().as_secs_f64();
             let meas = nn_measured_throughput(&nn, batch, budget);
             let modeled = gpu.throughput(&nn, 1024);
@@ -257,7 +264,7 @@ pub fn fig6(ls: &[usize], budget: Duration) -> Vec<Fig6Point> {
     let gpu = DeviceModel::titan_x();
     let mut pts = Vec::new();
     for &l in ls {
-        let nn = compile(&nl, CompileOptions::with_l(l)).expect("compile uart");
+        let nn = compile(&nl, paper(l)).expect("compile uart");
         let mut sim = Simulator::new(&nn, 1, Device::Serial);
         let x = Dense::<f32>::zeros(nn.num_primary_inputs, 1);
         let cpu_s = time_adaptive(budget, 3, || {
@@ -340,13 +347,8 @@ pub fn ablate_merge(ls: &[usize], budget: Duration) -> Vec<MergeAblationRow> {
     let gpu = DeviceModel::titan_x();
     let mut rows = Vec::new();
     for &l in ls {
-        let opts = CompileOptions::with_l(l);
-        let merged = compile(&nl, opts).unwrap();
-        let unmerged = compile(
-            &nl,
-            opts.with_passes(PassSet::all().without(PassId::LayerMerge)),
-        )
-        .unwrap();
+        let merged = compile(&nl, paper(l)).unwrap();
+        let unmerged = compile(&nl, CompileOptions::with_l(l)).unwrap();
         let t = |nn: &CompiledNn<f32>| {
             let mut sim = Simulator::new(nn, 64, Device::Serial);
             let x = Dense::<f32>::zeros(nn.num_primary_inputs, 64);
@@ -382,7 +384,7 @@ json_obj!(BatchSweepPoint {
 
 pub fn batch_sweep(l: usize, batches: &[usize], budget: Duration) -> Vec<BatchSweepPoint> {
     let nl = c2nn_circuits::aes128();
-    let nn = compile(&nl, CompileOptions::with_l(l)).unwrap();
+    let nn = compile(&nl, paper(l)).unwrap();
     let gpu = DeviceModel::titan_x();
     batches
         .iter()
@@ -416,8 +418,8 @@ pub fn ablate_dtype(ls: &[usize], batch: usize, budget: Duration) -> Vec<DtypeRo
     let nl = c2nn_circuits::uart();
     ls.iter()
         .map(|&l| {
-            let nf = compile(&nl, CompileOptions::with_l(l)).unwrap();
-            let ni = compile_as::<i32>(&nl, CompileOptions::with_l(l)).unwrap();
+            let nf = compile(&nl, paper(l)).unwrap();
+            let ni = compile_as::<i32>(&nl, paper(l)).unwrap();
             let mut sf = Simulator::new(&nf, batch, Device::Serial);
             let xf = Dense::<f32>::zeros(nf.num_primary_inputs, batch);
             let f32_s = time_adaptive(budget, 3, || {
@@ -454,7 +456,7 @@ pub fn ablate_sparse(ls: &[usize], batch: usize, budget: Duration) -> Vec<Sparse
     let nl = c2nn_circuits::uart();
     ls.iter()
         .map(|&l| {
-            let nn = compile(&nl, CompileOptions::with_l(l)).unwrap();
+            let nn = compile(&nl, paper(l)).unwrap();
             // pick the widest layer
             let layer = nn.layers.iter().max_by_key(|ly| ly.weights.nnz()).unwrap();
             let x = Dense::<f32>::zeros(layer.in_width(), batch);
@@ -530,8 +532,8 @@ pub fn ablate_wide(widths: &[usize]) -> Vec<WideGateRow> {
             let y = b.xor2(all, any);
             b.output(y, "y");
             let nl = b.finish().unwrap();
-            let tree = compile(&nl, CompileOptions::with_l(3)).unwrap();
-            let wide = compile(&nl, CompileOptions::with_l(3).with_wide_gates()).unwrap();
+            let tree = compile(&nl, paper(3)).unwrap();
+            let wide = compile(&nl, paper(3).with_wide_gates()).unwrap();
             let row = WideGateRow {
                 width: w,
                 layers_tree: tree.num_layers(),
@@ -553,7 +555,7 @@ pub fn ablate_wide(widths: &[usize]) -> Vec<WideGateRow> {
 /// Guarded `try_step` vs unguarded `step` on UART at L = 5: one data row
 /// of the `results/guard_overhead.md` table per batch width.
 pub fn guard_overhead(budget: Duration) -> String {
-    let nn = compile(&c2nn_circuits::uart(), CompileOptions::with_l(5)).unwrap();
+    let nn = compile(&c2nn_circuits::uart(), paper(5)).unwrap();
     let mut rows = String::new();
     for batch in [1usize, 64, 256] {
         let x = Dense::<f32>::zeros(nn.num_primary_inputs, batch);

@@ -1,14 +1,9 @@
 //! Word-parallel execution of a bit-plane program.
 //!
 //! One forward pass evaluates each output plane from the input planes with
-//! plain word ops: 64 stimulus lanes advance per AND/OR/XOR. The general
-//! [`RowOp::Weighted`] fallback runs an exact per-lane popcount in
-//! bit-sliced form: the running sum is held as planes of its binary digits
-//! (`acc[p]` holds bit `p` of 64 independent counters), each fan-in plane
-//! is added with a ripple-carry of word ops, and the final `A > B`
-//! comparison is a lexicographic scan from the most significant digit
-//! plane. Everything is lane-wise, so ragged batches need no masking —
-//! garbage in the tail bits stays in the tail bits.
+//! plain word ops: 64 stimulus lanes advance per AND/OR/XOR. Everything is
+//! lane-wise, so ragged batches need no masking — garbage in the tail bits
+//! stays in the tail bits.
 //!
 //! Rows are independent, so layers dispatch on the shared worker pool in
 //! whole-plane chunks (`W` words each), mirroring the CSR path's
@@ -98,14 +93,6 @@ fn eval_op(op: &RowOp, x: &BitTensor, out: &mut [u64]) {
                 }
             }
         }
-        RowOp::Weighted {
-            plus,
-            minus,
-            pos_bias,
-            neg_bias,
-        } => {
-            eval_weighted(plus, minus, *pos_bias, *neg_bias, x, out);
-        }
     }
 }
 
@@ -126,118 +113,6 @@ fn reduce(out: &mut [u64], x: &BitTensor, srcs: &[u32], or: bool, negate: bool) 
     if negate {
         for o in out.iter_mut() {
             *o = !*o;
-        }
-    }
-}
-
-/// Exact 64-lane threshold: `A > B` per lane, with the two sides
-/// accumulated as bit-sliced counters word position by word position.
-fn eval_weighted(
-    plus: &[(u32, u64)],
-    minus: &[(u32, u64)],
-    pos_bias: u64,
-    neg_bias: u64,
-    x: &BitTensor,
-    out: &mut [u64],
-) {
-    let mut a: Vec<u64> = Vec::with_capacity(32);
-    let mut b: Vec<u64> = Vec::with_capacity(32);
-    for (k, o) in out.iter_mut().enumerate() {
-        a.clear();
-        b.clear();
-        add_scaled(&mut a, !0, pos_bias);
-        for &(c, w) in plus {
-            add_scaled(&mut a, x.feature_words(c as usize)[k], w);
-        }
-        add_scaled(&mut b, !0, neg_bias);
-        for &(c, w) in minus {
-            add_scaled(&mut b, x.feature_words(c as usize)[k], w);
-        }
-        *o = gt(&a, &b);
-    }
-}
-
-/// `acc += w * plane`, lane-wise: add `plane` into digit position `j` for
-/// every set bit `j` of `w`.
-fn add_scaled(acc: &mut Vec<u64>, plane: u64, mut w: u64) {
-    let mut j = 0;
-    while w != 0 {
-        if w & 1 == 1 {
-            add_plane(acc, plane, j);
-        }
-        w >>= 1;
-        j += 1;
-    }
-}
-
-/// Ripple-carry add of one plane into digit position `p` of a bit-sliced
-/// counter (each `acc[p]` holds digit `p` of 64 independent lane counts).
-fn add_plane(acc: &mut Vec<u64>, mut carry: u64, mut p: usize) {
-    while carry != 0 {
-        if p >= acc.len() {
-            acc.resize(p + 1, 0);
-        }
-        let t = acc[p] ^ carry;
-        carry &= acc[p];
-        acc[p] = t;
-        p += 1;
-    }
-}
-
-/// Lane-wise `a > b` over bit-sliced counters: lexicographic compare from
-/// the most significant digit plane down.
-fn gt(a: &[u64], b: &[u64]) -> u64 {
-    let n = a.len().max(b.len());
-    let mut gt = 0u64;
-    let mut eq = !0u64;
-    for p in (0..n).rev() {
-        let av = a.get(p).copied().unwrap_or(0);
-        let bv = b.get(p).copied().unwrap_or(0);
-        gt |= eq & av & !bv;
-        eq &= !(av ^ bv);
-    }
-    gt
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bit_sliced_counters_count_exactly() {
-        // add planes with known popcount patterns and read back the digits
-        let mut acc = Vec::new();
-        add_plane(&mut acc, 0b1011, 0); // lanes 0,1,3 += 1
-        add_plane(&mut acc, 0b0011, 0); // lanes 0,1   += 1
-        add_plane(&mut acc, 0b0001, 0); // lane 0      += 1
-                                        // lane counts: 3, 2, 0, 1
-        let digit = |p: usize, l: usize| acc.get(p).copied().unwrap_or(0) >> l & 1;
-        let count = |l: usize| digit(0, l) + 2 * digit(1, l) + 4 * digit(2, l);
-        assert_eq!([count(0), count(1), count(2), count(3)], [3, 2, 0, 1]);
-    }
-
-    #[test]
-    fn scaled_add_and_compare_match_scalar_arithmetic() {
-        // lanes: x = bit pattern, weights chosen to exercise carries
-        let lanes: u64 = 0b1101;
-        for &(w_a, w_b, bias_a, bias_b) in &[
-            (5u64, 3u64, 2u64, 0u64),
-            (1, 1, 0, 0),
-            (7, 9, 0, 4),
-            (100, 1, 0, 63),
-        ] {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            add_scaled(&mut a, !0, bias_a);
-            add_scaled(&mut a, lanes, w_a);
-            add_scaled(&mut b, !0, bias_b);
-            add_scaled(&mut b, lanes, w_b);
-            let got = gt(&a, &b);
-            for l in 0..4 {
-                let x = lanes >> l & 1;
-                let expect = (w_a * x + bias_a) > (w_b * x + bias_b);
-                assert_eq!(got >> l & 1 == 1, expect, "lane {l} w=({w_a},{w_b})");
-            }
         }
     }
 }

@@ -8,9 +8,8 @@
 //!
 //! Bits past `batch` in a feature's last word ("the ragged tail") are
 //! *unspecified*. Every kernel in [`super::exec`] is lane-wise (AND, OR,
-//! XOR, and per-bit ripple-carry popcount counters), so tail garbage can
-//! never leak into a valid lane; the unpack paths here simply never read
-//! past `batch`.
+//! XOR and their negations), so tail garbage can never leak into a valid
+//! lane; the unpack paths here simply never read past `batch`.
 
 use c2nn_tensor::Scalar;
 

@@ -1,5 +1,5 @@
-//! Legalize-to-bitplane: classify each exact-integer neuron row into the
-//! cheapest word-parallel operation that computes it.
+//! Legalize-to-bitplane: lower each exact-integer neuron row to the one
+//! word-parallel gate that computes it.
 //!
 //! The compiler's IR invariants (see `ir`) guarantee that, fed binary
 //! inputs, every `Threshold` row produces 0/1 and every intermediate
@@ -14,18 +14,18 @@
 //!   (`Σw + bias > 0`) while no largest proper subset does
 //!   (`Σw − wᵢ + bias ≤ 0`). The all-negative duals give NOR/NAND on the
 //!   magnitudes. Unit weights are the common special case (bias `1-n` →
-//!   AND, `0` → OR, and the `-1` duals), but non-±1 rows from merged
-//!   layers or hand-built models qualify too.
+//!   AND, `0` → OR, and the `-1` duals), but non-±1 rows from hand-built
+//!   models qualify too.
 //! * A linear row whose value is always 0/1 equals its own parity, so it
 //!   is the XOR of the fan-in planes with odd weights, inverted when the
 //!   bias is odd. Even coefficients drop out entirely.
 //!
-//! Everything else falls back to [`RowOp::Weighted`], an exact bit-sliced
-//! popcount comparator (see `exec`), so *any* legal `CompiledNn` — merged
-//! layers, wide gates, hand-built models — runs bit-exactly. When both a
-//! gate form and the counter form are available for a row, the classifier
-//! picks by modeled word-op cost ([`RowOp::modeled_word_ops`]); the
-//! outcome is counted per op kind by [`BitplaneNn::op_census`].
+//! Every row the default pipeline (fold → cse → dce) emits is one of the
+//! two. A threshold row that is neither — the mixed-sign rows of a
+//! `layer-merge`d network, a hand-built majority — is refused with
+//! [`BitplaneError::NotAGate`] naming its layer and row; the CSR engines
+//! run such networks. The outcome is counted per op kind by
+//! [`BitplaneNn::op_census`].
 
 use crate::compile::CompiledNn;
 use crate::layer::Activation2;
@@ -58,63 +58,22 @@ pub enum RowOp {
         /// Whether the bias is odd.
         invert: bool,
     },
-    /// General threshold `Σ wᵢxᵢ + b > 0`, evaluated exactly as
-    /// `A > B` with `A = Σ_{w>0} w·x + max(b,0)` and
-    /// `B = Σ_{w<0} |w|·x + max(-b,0)` via bit-sliced popcount counters.
-    Weighted {
-        /// Positive-weight terms `(column, magnitude)`.
-        plus: Vec<(u32, u64)>,
-        /// Negative-weight terms `(column, magnitude)`.
-        minus: Vec<(u32, u64)>,
-        /// `max(bias, 0)`.
-        pos_bias: u64,
-        /// `max(-bias, 0)`.
-        neg_bias: u64,
-    },
 }
 
 impl RowOp {
     /// Modeled cost of evaluating this op for one output *word* (64
-    /// lanes), in machine word operations. This is the cost model the
-    /// classifier uses to choose between a gate form and the bit-sliced
-    /// counter form for weighted rows, and what the backend HAL sums into
-    /// its capabilities manifest: gate/XOR ops cost one op per fan-in
-    /// plane, the counter fallback costs one ripple-carry plane-add per
-    /// set weight bit (each rippling up to the counter width) plus the
-    /// final lexicographic compare.
+    /// lanes), in machine word operations: one op per fan-in plane plus
+    /// the store. The backend HAL sums these into its capabilities
+    /// manifest.
     pub fn modeled_word_ops(&self) -> u64 {
         match self {
             RowOp::Const(_) | RowOp::Copy(_) | RowOp::Not(_) => 1,
-            RowOp::And(srcs) | RowOp::Nand(srcs) | RowOp::Or(srcs) | RowOp::Nor(srcs) => {
-                srcs.len() as u64 + 1
-            }
-            RowOp::Xor { srcs, .. } => srcs.len() as u64 + 1,
-            RowOp::Weighted {
-                plus,
-                minus,
-                pos_bias,
-                neg_bias,
-            } => {
-                let a_max: u64 = *pos_bias + plus.iter().map(|&(_, w)| w).sum::<u64>();
-                let b_max: u64 = *neg_bias + minus.iter().map(|&(_, w)| w).sum::<u64>();
-                // counter width in digit planes (≥1 once non-trivial)
-                let width = (64 - a_max.max(b_max).max(1).leading_zeros()) as u64;
-                let adds: u64 = plus
-                    .iter()
-                    .chain(minus.iter())
-                    .map(|&(_, w)| w.count_ones() as u64)
-                    .sum::<u64>()
-                    + pos_bias.count_ones() as u64
-                    + neg_bias.count_ones() as u64;
-                adds * width + 3 * width
-            }
+            RowOp::And(srcs)
+            | RowOp::Nand(srcs)
+            | RowOp::Or(srcs)
+            | RowOp::Nor(srcs)
+            | RowOp::Xor { srcs, .. } => srcs.len() as u64 + 1,
         }
-    }
-
-    /// Whether this op runs on the bit-sliced counter path (the expensive
-    /// class) rather than plain word ops.
-    pub fn is_weighted(&self) -> bool {
-        matches!(self, RowOp::Weighted { .. })
     }
 }
 
@@ -161,6 +120,15 @@ pub enum BitplaneError {
         /// The offending value.
         value: f64,
     },
+    /// A threshold row with no gate form: its weights are mixed-sign or
+    /// its boundary separates no AND/OR subset (a `layer-merge`d or
+    /// hand-built network).
+    NotAGate {
+        /// Layer of the row.
+        layer: usize,
+        /// Row within the layer.
+        row: usize,
+    },
 }
 
 impl fmt::Display for BitplaneError {
@@ -171,15 +139,20 @@ impl fmt::Display for BitplaneError {
                 "layer {layer} row {row}: value {value} is not an integer; \
                  the bit-plane backend requires exact integral weights"
             ),
+            BitplaneError::NotAGate { layer, row } => write!(
+                f,
+                "layer {layer} row {row}: threshold row is not a gate (mixed-sign \
+                 or non-separable weights, as layer-merge emits); the bit-plane \
+                 backend runs gates and parities only"
+            ),
         }
     }
 }
 
 impl std::error::Error for BitplaneError {}
 
-/// Per-kind op counts of a bit-plane program (reported by the benchmark and
-/// asserted on in tests: the unmerged pipeline should legalize almost
-/// entirely to gate ops, not `Weighted` fallbacks).
+/// Per-kind op counts of a bit-plane program (reported by `c2nn compile
+/// --stats` and the benchmark).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCensus {
     pub consts: usize,
@@ -190,6 +163,9 @@ pub struct OpCensus {
     pub ors: usize,
     pub nors: usize,
     pub xors: usize,
+    /// Always 0: the engine has no counter path. Kept only because the
+    /// benchmark adapter (`benchmark/src/api.rs`) reads it; it goes when
+    /// the adapter stops naming it.
     pub weighted: usize,
 }
 
@@ -204,14 +180,13 @@ impl OpCensus {
             + self.ors
             + self.nors
             + self.xors
-            + self.weighted
     }
 }
 
 impl BitplaneNn {
-    /// Legalize a compiled network to bit-plane form. Exact for every
-    /// network that passes `CompiledNn::validate` (integral weights within
-    /// the scalar's exact range); fails with a typed error otherwise.
+    /// Legalize a compiled network to bit-plane form: every threshold row
+    /// must be a gate and every weight integral, or the typed error names
+    /// the first row that is not.
     pub fn from_compiled<T: Scalar>(nn: &CompiledNn<T>) -> Result<Self, BitplaneError> {
         let mut layers = Vec::with_capacity(nn.layers.len());
         for (li, layer) in nn.layers.iter().enumerate() {
@@ -226,7 +201,9 @@ impl BitplaneNn {
                     }
                 }
                 let bias = exact_i64(layer.bias[r], li, r)?;
-                ops.push(classify(&row, bias, layer.activation));
+                let op = classify(&row, bias, layer.activation)
+                    .ok_or(BitplaneError::NotAGate { layer: li, row: r })?;
+                ops.push(op);
             }
             layers.push(BitLayer {
                 in_width: layer.weights.cols(),
@@ -275,24 +252,11 @@ impl BitplaneNn {
         }
     }
 
-    /// Summed modeled word-op cost per output word, split into
-    /// `(cheap, weighted)` units: cheap covers the plain word-op paths
-    /// (constants, copies, gates, parities), weighted the bit-sliced
-    /// counter fallback. The backend HAL feeds these into its
-    /// cost model to predict cycles/s per batch size.
-    pub fn modeled_units(&self) -> (f64, f64) {
-        let mut cheap = 0u64;
-        let mut weighted = 0u64;
-        for layer in &self.layers {
-            for op in &layer.ops {
-                if op.is_weighted() {
-                    weighted += op.modeled_word_ops();
-                } else {
-                    cheap += op.modeled_word_ops();
-                }
-            }
-        }
-        (cheap as f64, weighted as f64)
+    /// Summed modeled word-op cost per output word: the work the backend
+    /// HAL prices per 64 lanes.
+    pub fn modeled_word_ops(&self) -> u64 {
+        let ops = self.layers.iter().flat_map(|l| &l.ops);
+        ops.map(RowOp::modeled_word_ops).sum()
     }
 
     /// Count ops by kind across all layers.
@@ -309,7 +273,6 @@ impl BitplaneNn {
                     RowOp::Or(_) => c.ors += 1,
                     RowOp::Nor(_) => c.nors += 1,
                     RowOp::Xor { .. } => c.xors += 1,
-                    RowOp::Weighted { .. } => c.weighted += 1,
                 }
             }
         }
@@ -332,8 +295,9 @@ fn exact_i64<T: Scalar>(v: T, layer: usize, row: usize) -> Result<i64, BitplaneE
     Ok(f as i64)
 }
 
-/// Pick the cheapest exact op for one canonical row.
-fn classify(weights: &[(u32, i64)], bias: i64, act: Activation2) -> RowOp {
+/// The exact word op for one canonical row, or `None` when a threshold
+/// row has no gate form.
+fn classify(weights: &[(u32, i64)], bias: i64, act: Activation2) -> Option<RowOp> {
     match act {
         Activation2::Linear => {
             // 0/1-valued linear rows equal their own parity
@@ -343,53 +307,25 @@ fn classify(weights: &[(u32, i64)], bias: i64, act: Activation2) -> RowOp {
                 .map(|&(c, _)| c)
                 .collect();
             let invert = bias & 1 != 0;
-            match (srcs.len(), invert) {
+            Some(match (srcs.len(), invert) {
                 (0, b) => RowOp::Const(b),
                 (1, false) => RowOp::Copy(srcs[0]),
                 (1, true) => RowOp::Not(srcs[0]),
                 _ => RowOp::Xor { srcs, invert },
-            }
+            })
         }
         Activation2::Threshold => {
             let min_pre: i64 = weights.iter().map(|&(_, w)| w.min(0)).sum::<i64>() + bias;
             let max_pre: i64 = weights.iter().map(|&(_, w)| w.max(0)).sum::<i64>() + bias;
             if min_pre > 0 {
-                return RowOp::Const(true);
+                return Some(RowOp::Const(true));
             }
             if max_pre <= 0 {
-                return RowOp::Const(false);
+                return Some(RowOp::Const(false));
             }
             // non-constant, so weights is non-empty from here on
-            let counter = weighted_op(weights, bias);
-            match gate_op(weights, bias) {
-                // both forms compute the row exactly; take the modeled-
-                // cost winner (the gate always wins today, but the
-                // explicit comparison keeps the choice honest if the
-                // counter path ever gets cheaper ops)
-                Some(gate) if gate.modeled_word_ops() <= counter.modeled_word_ops() => gate,
-                _ => counter,
-            }
+            gate_op(weights, bias)
         }
-    }
-}
-
-/// The exact bit-sliced-counter form of a threshold row (always valid).
-fn weighted_op(weights: &[(u32, i64)], bias: i64) -> RowOp {
-    let plus: Vec<(u32, u64)> = weights
-        .iter()
-        .filter(|&&(_, w)| w > 0)
-        .map(|&(c, w)| (c, w as u64))
-        .collect();
-    let minus: Vec<(u32, u64)> = weights
-        .iter()
-        .filter(|&&(_, w)| w < 0)
-        .map(|&(c, w)| (c, w.unsigned_abs()))
-        .collect();
-    RowOp::Weighted {
-        plus,
-        minus,
-        pos_bias: bias.max(0) as u64,
-        neg_bias: (-bias).max(0) as u64,
     }
 }
 
@@ -447,73 +383,67 @@ mod tests {
 
     #[test]
     fn gate_rows_classify_to_gates() {
-        use Activation2::Threshold as T;
+        let t = |w: &[(u32, i64)], b| classify(w, b, Activation2::Threshold);
         // and2: x0 + x1 - 1 > 0
-        assert_eq!(classify(&[(0, 1), (1, 1)], -1, T), RowOp::And(vec![0, 1]));
+        assert_eq!(t(&[(0, 1), (1, 1)], -1), Some(RowOp::And(vec![0, 1])));
         // or3
         assert_eq!(
-            classify(&[(0, 1), (1, 1), (2, 1)], 0, T),
-            RowOp::Or(vec![0, 1, 2])
+            t(&[(0, 1), (1, 1), (2, 1)], 0),
+            Some(RowOp::Or(vec![0, 1, 2]))
         );
         // nor2: -x0 - x1 + 1 > 0
-        assert_eq!(classify(&[(0, -1), (1, -1)], 1, T), RowOp::Nor(vec![0, 1]));
+        assert_eq!(t(&[(0, -1), (1, -1)], 1), Some(RowOp::Nor(vec![0, 1])));
         // nand2: -x0 - x1 + 2 > 0
-        assert_eq!(classify(&[(0, -1), (1, -1)], 2, T), RowOp::Nand(vec![0, 1]));
+        assert_eq!(t(&[(0, -1), (1, -1)], 2), Some(RowOp::Nand(vec![0, 1])));
         // buffer and inverter
-        assert_eq!(classify(&[(3, 1)], 0, T), RowOp::Copy(3));
-        assert_eq!(classify(&[(3, -1)], 1, T), RowOp::Not(3));
+        assert_eq!(t(&[(3, 1)], 0), Some(RowOp::Copy(3)));
+        assert_eq!(t(&[(3, -1)], 1), Some(RowOp::Not(3)));
         // constants by range
-        assert_eq!(classify(&[(0, 1)], 1, T), RowOp::Const(true));
-        assert_eq!(classify(&[(0, 1)], -1, T), RowOp::Const(false));
-        assert_eq!(classify(&[], 5, T), RowOp::Const(true));
+        assert_eq!(t(&[(0, 1)], 1), Some(RowOp::Const(true)));
+        assert_eq!(t(&[(0, 1)], -1), Some(RowOp::Const(false)));
+        assert_eq!(t(&[], 5), Some(RowOp::Const(true)));
         // a majority gate has no gate form
-        assert!(matches!(
-            classify(&[(0, 1), (1, 1), (2, 1)], -1, T),
-            RowOp::Weighted { .. }
-        ));
+        assert_eq!(t(&[(0, 1), (1, 1), (2, 1)], -1), None);
     }
 
     #[test]
     fn weight_aware_rows_classify_to_gates() {
-        use Activation2::Threshold as T;
+        let t = |w: &[(u32, i64)], b| classify(w, b, Activation2::Threshold);
         // or-like with uneven magnitudes: any lone input clears the bias
-        assert_eq!(classify(&[(0, 3), (1, 5)], -2, T), RowOp::Or(vec![0, 1]));
+        assert_eq!(t(&[(0, 3), (1, 5)], -2), Some(RowOp::Or(vec![0, 1])));
         // and-like: only the full set clears the bias (3+5-6 > 0, but
         // dropping either input goes non-positive)
-        assert_eq!(classify(&[(0, 3), (1, 5)], -6, T), RowOp::And(vec![0, 1]));
+        assert_eq!(t(&[(0, 3), (1, 5)], -6), Some(RowOp::And(vec![0, 1])));
         // single non-unit source normalizes to copy / inverter
-        assert_eq!(classify(&[(7, 3)], -2, T), RowOp::Copy(7));
-        assert_eq!(classify(&[(7, -3)], 2, T), RowOp::Not(7));
+        assert_eq!(t(&[(7, 3)], -2), Some(RowOp::Copy(7)));
+        assert_eq!(t(&[(7, -3)], 2), Some(RowOp::Not(7)));
         // negative duals with uneven magnitudes
-        assert_eq!(classify(&[(0, -2), (1, -4)], 2, T), RowOp::Nor(vec![0, 1]));
-        assert_eq!(classify(&[(0, -2), (1, -4)], 5, T), RowOp::Nand(vec![0, 1]));
-        // a weighted row whose boundary separates no gate subset stays on
-        // the counter path: 3·x0 + 5·x1 − 4 > 0 fires on {x1} and {x0,x1}
-        // but not {x0} — neither OR nor AND
-        assert!(matches!(
-            classify(&[(0, 3), (1, 5)], -4, T),
-            RowOp::Weighted { .. }
-        ));
+        assert_eq!(t(&[(0, -2), (1, -4)], 2), Some(RowOp::Nor(vec![0, 1])));
+        assert_eq!(t(&[(0, -2), (1, -4)], 5), Some(RowOp::Nand(vec![0, 1])));
+        // a row whose boundary separates no gate subset is refused:
+        // 3·x0 + 5·x1 − 4 > 0 fires on {x1} and {x0,x1} but not {x0} —
+        // neither OR nor AND
+        assert_eq!(t(&[(0, 3), (1, 5)], -4), None);
         // mixed signs never have a plain gate form
-        assert!(matches!(
-            classify(&[(0, 2), (1, -3)], 1, T),
-            RowOp::Weighted { .. }
-        ));
+        assert_eq!(t(&[(0, 2), (1, -3)], 1), None);
     }
 
     #[test]
-    fn weight_aware_gates_match_the_counter_semantics() {
-        use Activation2::Threshold as T;
+    fn weight_aware_gates_match_threshold_semantics() {
         // exhaustive cross-check: for every ≤3-input row over a weight
-        // grid, the classified op must agree with direct threshold
-        // evaluation on every input assignment
+        // grid that classifies to a gate, the gate must agree with direct
+        // threshold evaluation on every input assignment
         let grid: &[i64] = &[-5, -3, -1, 1, 2, 4];
+        let mut gates = 0;
         for &w0 in grid {
             for &w1 in grid {
                 for &w2 in grid {
                     for bias in -8i64..=8 {
                         let weights = [(0u32, w0), (1u32, w1), (2u32, w2)];
-                        let op = classify(&weights, bias, T);
+                        let Some(op) = classify(&weights, bias, Activation2::Threshold) else {
+                            continue;
+                        };
+                        gates += 1;
                         for assign in 0u32..8 {
                             let bit = |i: u32| assign >> i & 1 == 1;
                             let want = weights
@@ -532,6 +462,7 @@ mod tests {
                 }
             }
         }
+        assert!(gates > 0);
     }
 
     /// Scalar reference evaluation of one RowOp (test-only).
@@ -547,36 +478,12 @@ mod tests {
             RowOp::Xor { srcs, invert } => {
                 (srcs.iter().filter(|&&c| bit(c)).count() % 2 == 1) != *invert
             }
-            RowOp::Weighted {
-                plus,
-                minus,
-                pos_bias,
-                neg_bias,
-            } => {
-                let a: u64 = *pos_bias
-                    + plus
-                        .iter()
-                        .map(|&(c, w)| if bit(c) { w } else { 0 })
-                        .sum::<u64>();
-                let b: u64 = *neg_bias
-                    + minus
-                        .iter()
-                        .map(|&(c, w)| if bit(c) { w } else { 0 })
-                        .sum::<u64>();
-                a > b
-            }
         }
     }
 
-    #[test]
-    fn op_census_counts_gates_and_counter_rows() {
+    /// One threshold layer over two inputs from `(weights, bias)` rows.
+    fn threshold_net(rows: &[(Vec<(u32, f32)>, f32)]) -> CompiledNn<f32> {
         use c2nn_tensor::Csr;
-        // one layer: a unit AND, a weighted OR, and a counter row
-        let rows: &[(Vec<(u32, f32)>, f32)] = &[
-            (vec![(0, 1.0), (1, 1.0)], -1.0), // unit AND
-            (vec![(0, 3.0), (1, 5.0)], -2.0), // weighted OR
-            (vec![(0, 3.0), (1, 5.0)], -4.0), // counter fallback
-        ];
         let mut triples = Vec::new();
         for (r, (ws, _)) in rows.iter().enumerate() {
             for &(c, w) in ws {
@@ -588,36 +495,49 @@ mod tests {
             bias: rows.iter().map(|(_, b)| *b).collect(),
             activation: Activation2::Threshold,
         };
-        let nn = CompiledNn {
+        CompiledNn {
             name: "census".into(),
             layers: vec![threshold_layer],
             num_primary_inputs: 2,
-            num_primary_outputs: 3,
+            num_primary_outputs: rows.len(),
             state_init: vec![],
-            gate_count: 3,
+            gate_count: rows.len(),
             lut_size: 2,
-        };
-        let plan = BitplaneNn::from_compiled(&nn).unwrap();
+        }
+    }
+
+    #[test]
+    fn op_census_counts_gates_and_a_non_gate_row_is_refused_by_position() {
+        let mut rows = vec![
+            (vec![(0, 1.0), (1, 1.0)], -1.0), // unit AND
+            (vec![(0, 3.0), (1, 5.0)], -2.0), // weighted OR
+        ];
+        let plan = BitplaneNn::from_compiled(&threshold_net(&rows)).unwrap();
         let census = plan.op_census();
-        assert_eq!((census.ands, census.ors, census.weighted), (1, 1, 1));
-        assert_eq!(census.total(), 3);
-        let (cheap, weighted) = plan.modeled_units();
-        assert!(cheap > 0.0 && weighted > 0.0);
+        assert_eq!((census.ands, census.ors, census.weighted), (1, 1, 0));
+        assert_eq!(census.total(), 2);
+        // (2 fan-in + 1) word ops per gate
+        assert_eq!(plan.modeled_word_ops(), 6);
+
+        rows.push((vec![(0, 3.0), (1, 5.0)], -4.0)); // no gate form
+        let err = BitplaneNn::from_compiled(&threshold_net(&rows)).unwrap_err();
+        assert_eq!(err, BitplaneError::NotAGate { layer: 0, row: 2 });
+        assert!(err.to_string().starts_with("layer 0 row 2: "), "{err}");
     }
 
     #[test]
     fn linear_rows_classify_to_parity() {
-        use Activation2::Linear as L;
+        let l = |w: &[(u32, i64)], b| classify(w, b, Activation2::Linear);
         assert_eq!(
-            classify(&[(0, 1), (1, -1), (2, 2)], 0, L),
-            RowOp::Xor {
+            l(&[(0, 1), (1, -1), (2, 2)], 0),
+            Some(RowOp::Xor {
                 srcs: vec![0, 1],
                 invert: false
-            }
+            })
         );
-        assert_eq!(classify(&[(4, 1)], 0, L), RowOp::Copy(4));
-        assert_eq!(classify(&[(4, -1)], 1, L), RowOp::Not(4));
-        assert_eq!(classify(&[(4, 2)], 1, L), RowOp::Const(true));
-        assert_eq!(classify(&[], 0, L), RowOp::Const(false));
+        assert_eq!(l(&[(4, 1)], 0), Some(RowOp::Copy(4)));
+        assert_eq!(l(&[(4, -1)], 1), Some(RowOp::Not(4)));
+        assert_eq!(l(&[(4, 2)], 1), Some(RowOp::Const(true)));
+        assert_eq!(l(&[], 0), Some(RowOp::Const(false)));
     }
 }

@@ -5,9 +5,9 @@
 //! (`c2nn-netlist::seq`) → LUT mapping (`c2nn-lutmap`) → **lower** to the
 //! un-merged [`NnGraph`](crate::ir::NnGraph) (Algorithm 1 polynomials, Fig. 2
 //! two-layer blocks) → optimization passes (`constant-fold`, `monomial-cse`,
-//! `dead-neuron-elim`, the Fig. 5 `layer-merge`) → **legalize** into a
-//! [`CompiledNn`] of sparse integer layers. Every stage records wall time
-//! and size metrics into a [`CompileReport`].
+//! `dead-neuron-elim`; the Fig. 5 `layer-merge` only when asked for) →
+//! **legalize** into a [`CompiledNn`] of sparse integer layers. Every stage
+//! records wall time and size metrics into a [`CompileReport`].
 
 use crate::ir::passes::{legalize, PassManager, PassSet};
 use crate::ir::report::{CompileReport, PassStat};
@@ -28,9 +28,9 @@ pub struct CompileOptions {
     /// `L` become single neurons instead of LUT trees.
     pub wide_gates: bool,
     /// Which optimization passes run between lowering and legalization
-    /// (always in canonical order). The merge ablation is
-    /// `PassSet::all().without(PassId::LayerMerge)` — also the pass set
-    /// under which the bit-plane backend legalizes popcount-free.
+    /// (always in canonical order). [`PassSet::default`] (fold, cse, dce)
+    /// is the network every engine runs; `PassSet::all()` adds the Fig. 5
+    /// `layer-merge` for the paper's tables.
     pub passes: PassSet,
 }
 
@@ -40,7 +40,7 @@ impl CompileOptions {
             lut_size: l,
             cuts_per_net: 8,
             wide_gates: false,
-            passes: PassSet::all(),
+            passes: PassSet::default(),
         }
     }
 
@@ -336,6 +336,9 @@ mod tests {
     #[test]
     fn options_validate_ranges() {
         assert!(CompileOptions::with_l(4).validate().is_ok());
+        assert!(!CompileOptions::with_l(4)
+            .passes
+            .contains(PassId::LayerMerge));
         let mut bad = CompileOptions::with_l(4);
         bad.lut_size = 1;
         assert!(matches!(
@@ -403,7 +406,6 @@ mod tests {
                 "constant-fold",
                 "monomial-cse",
                 "dead-neuron-elim",
-                "layer-merge",
                 "legalize"
             ]
         );

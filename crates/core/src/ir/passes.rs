@@ -8,8 +8,9 @@
 //! * every pass leaves the IR invariants of [`super`] intact
 //!   (checked under `debug_assertions` after each pass);
 //! * `constant-fold`, `monomial-cse` and `dead-neuron-elim` never increase
-//!   the total nonzero count (enforced by the `compile_stats` CI gate);
-//!   `layer-merge` may trade nonzeros for depth (Fig. 5).
+//!   the total nonzero count (checked on every suite circuit by
+//!   `tests/pass_lockstep.rs`); `layer-merge` may trade nonzeros for depth
+//!   (Fig. 5).
 
 use super::report::{CompileReport, PassStat};
 use super::{apply_act, NnGraph};
@@ -75,7 +76,8 @@ impl PassSet {
         PassSet(0)
     }
 
-    /// Every optimization pass (the default).
+    /// Every optimization pass, `layer-merge` included: the paper's
+    /// network (`--passes all`, the `reproduce` experiments).
     pub const fn all() -> Self {
         PassSet(0b1111)
     }
@@ -142,9 +144,13 @@ impl PassSet {
     }
 }
 
+/// fold → cse → dce: the one network every engine runs. `layer-merge` is
+/// opt-in — it halves depth for launch-bound GPU kernels, but on a CPU it
+/// multiplies connections and its mixed-sign rows have no bit-plane gate
+/// form.
 impl Default for PassSet {
     fn default() -> Self {
-        PassSet::all()
+        PassSet::all().without(PassId::LayerMerge)
     }
 }
 
@@ -636,6 +642,7 @@ mod tests {
         assert!(!no_merge.contains(PassId::LayerMerge));
         assert!(no_merge.contains(PassId::MonomialCse));
         assert_eq!(no_merge.to_vec().len(), 3);
+        assert_eq!(PassSet::default(), no_merge);
         assert_eq!(PassSet::prefix(0), PassSet::none());
         assert_eq!(PassSet::prefix(4), PassSet::all());
         assert_eq!(

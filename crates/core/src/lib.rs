@@ -13,9 +13,10 @@
 //! 3. truth table → multilinear polynomial, Algorithm 1 (`c2nn-boolfn`);
 //! 4. polynomial → two-layer threshold block, lowered into the mid-level
 //!    [`NnGraph`](ir::NnGraph) IR (Fig. 2, Eq. 3);
-//! 5. optimization passes over the IR — cross-LUT monomial CSE, dead-neuron
-//!    elimination, constant folding, and the Fig. 5 depth-halving merge —
-//!    each instrumented into a [`CompileReport`];
+//! 5. optimization passes over the IR — constant folding, cross-LUT
+//!    monomial CSE, dead-neuron elimination, and (opt-in, `PassSet::all()`)
+//!    the Fig. 5 depth-halving merge — each instrumented into a
+//!    [`CompileReport`];
 //! 6. `legalize` → sparse CSR layers executed by `c2nn-tensor` (§III-E/F).
 //!
 //! The result is *exact*: for every input sequence the network produces

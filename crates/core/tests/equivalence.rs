@@ -56,12 +56,9 @@ fn adder_equivalent_across_l() {
 fn merge_preserves_function_and_halves_depth() {
     let nl = adder(6);
     let opts = CompileOptions::with_l(3);
-    let merged = compile(&nl, opts).unwrap();
-    let unmerged = compile(
-        &nl,
-        opts.with_passes(PassSet::all().without(PassId::LayerMerge)),
-    )
-    .unwrap();
+    let merged = compile(&nl, opts.with_passes(PassSet::all())).unwrap();
+    let unmerged = compile(&nl, opts).unwrap();
+    assert!(!opts.passes.contains(PassId::LayerMerge));
     // function identical
     for x in [0u64, 1, 100, 3333, 4095] {
         let bits: Vec<bool> = (0..12).map(|j| x >> j & 1 == 1).collect();

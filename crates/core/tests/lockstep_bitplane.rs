@@ -1,14 +1,15 @@
 //! Differential lockstep harness for the bit-plane backend: on every suite
 //! circuit, the packed executor must stay bit-exact against BOTH the
-//! pooled-CSR `Simulator` (all lanes) and the gate-level reference
+//! serial CSR `Simulator` (all lanes) and the gate-level reference
 //! simulator (spot-checked lanes), over multi-cycle sessions, for ragged
-//! batch widths that don't fill a machine word, and under both pass sets —
-//! the unmerged pipeline it prefers (gate/XOR ops) and the fully merged
-//! one that forces its bit-sliced popcount fallback.
+//! batch widths that don't fill a machine word — on the network every
+//! engine runs (the default pass set). And every artifact the default
+//! compiler emits must lower to gates and parities at all.
 
 use c2nn_core::bitplane::{BitTensor, BitplaneNn, BitplaneSimulator};
-use c2nn_core::{compile, CompileOptions, PassId, PassSet, SimError, Simulator};
-use c2nn_netlist::Netlist;
+use c2nn_core::{compile_graph, CompileOptions, CompiledNn, PassId, PassSet, SimError, Simulator};
+use c2nn_lutmap::{map_netlist, MapConfig};
+use c2nn_netlist::{prepare, Netlist};
 use c2nn_refsim::CycleSim;
 use c2nn_tensor::{Dense, Device};
 
@@ -54,26 +55,9 @@ fn suite() -> Vec<(&'static str, Netlist)> {
         .collect()
 }
 
-/// The pass set the bit-plane backend prefers: everything but layer-merge
-/// (the HAL conformance suite's `unmerged` configuration).
-fn unmerged() -> PassSet {
-    PassSet::all().without(PassId::LayerMerge)
-}
-
-/// The two compile configurations the bit-plane backend must handle:
-/// its native unmerged pipeline, and a fully merged network (exercising
-/// the `Weighted` popcount fallback).
-fn configs() -> [(&'static str, CompileOptions); 2] {
-    [
-        (
-            "unmerged",
-            CompileOptions::with_l(4).with_passes(unmerged()),
-        ),
-        (
-            "merged",
-            CompileOptions::with_l(4).with_passes(PassSet::all()),
-        ),
-    ]
+/// `nl` compiled to the network every engine runs (default passes, L = 4).
+fn compile(nl: &Netlist) -> CompiledNn<f32> {
+    c2nn_core::compile(nl, CompileOptions::with_l(4)).unwrap()
 }
 
 /// How many lanes of each batch also get an independent gate-level refsim
@@ -87,56 +71,102 @@ fn bitplane_matches_simulator_and_refsim_on_the_suite() {
     // 67 = one full word + a ragged 3-bit tail
     const BATCH: usize = 67;
     for (name, nl) in suite() {
-        for (tag, opts) in configs() {
-            let nn = compile(&nl, opts).unwrap();
-            let plan = BitplaneNn::from_compiled(&nn).unwrap();
-            let mut bit_sim = BitplaneSimulator::new(&plan, BATCH, Device::Serial);
-            let mut csr_sim = Simulator::new(&nn, BATCH, Device::Serial);
-            let mut refs: Vec<CycleSim> = (0..REF_LANES.min(BATCH))
-                .map(|_| CycleSim::new(&nl).unwrap())
-                .collect();
-            let mut rng = Lcg(0xb17 ^ name.len() as u64 ^ (tag.len() as u64) << 8);
-            let pi = nn.num_primary_inputs;
-            for cycle in 0..CYCLES {
-                let lanes = rng.lanes(BATCH, pi);
-                let got = step_lanes(&mut bit_sim, &lanes);
-                let want = csr_sim.step(&Dense::<f32>::from_lanes(&lanes)).to_lanes();
-                assert_eq!(
-                    got, want,
-                    "{name} [{tag}]: bitplane vs CSR diverged at cycle {cycle}"
-                );
-                for (lane, r) in refs.iter_mut().enumerate() {
-                    let gold = r.step(&lanes[lane]);
-                    assert_eq!(
-                        got[lane], gold,
-                        "{name} [{tag}]: bitplane vs refsim diverged at cycle {cycle}, lane {lane}"
-                    );
-                }
-            }
-            // the recurrent state agrees too, lane for lane
+        let nn = compile(&nl);
+        let plan = BitplaneNn::from_compiled(&nn).unwrap();
+        let mut bit_sim = BitplaneSimulator::new(&plan, BATCH, Device::Serial);
+        let mut csr_sim = Simulator::new(&nn, BATCH, Device::Serial);
+        let mut refs: Vec<CycleSim> = (0..REF_LANES.min(BATCH))
+            .map(|_| CycleSim::new(&nl).unwrap())
+            .collect();
+        let mut rng = Lcg(0xb17 ^ name.len() as u64);
+        let pi = nn.num_primary_inputs;
+        for cycle in 0..CYCLES {
+            let lanes = rng.lanes(BATCH, pi);
+            let got = step_lanes(&mut bit_sim, &lanes);
+            let want = csr_sim.step(&Dense::<f32>::from_lanes(&lanes)).to_lanes();
             assert_eq!(
-                bit_sim.state_lanes(),
-                csr_sim.state_lanes(),
-                "{name} [{tag}]: state diverged after {CYCLES} cycles"
+                got, want,
+                "{name}: bitplane vs CSR diverged at cycle {cycle}"
             );
-            assert_eq!(bit_sim.cycles(), CYCLES as u64);
+            for (lane, r) in refs.iter_mut().enumerate() {
+                let gold = r.step(&lanes[lane]);
+                assert_eq!(
+                    got[lane], gold,
+                    "{name}: bitplane vs refsim diverged at cycle {cycle}, lane {lane}"
+                );
+            }
         }
+        // the recurrent state agrees too, lane for lane
+        assert_eq!(
+            bit_sim.state_lanes(),
+            csr_sim.state_lanes(),
+            "{name}: state diverged after {CYCLES} cycles"
+        );
+        assert_eq!(bit_sim.cycles(), CYCLES as u64);
     }
 }
 
+/// Generated circuits beside the suite: random logic at several seeds,
+/// arithmetic, shift registers, counters — combinational and sequential.
+fn generated() -> Vec<(String, Netlist)> {
+    use c2nn_circuits::generators as g;
+    let mut out: Vec<(String, Netlist)> = vec![
+        ("multiplier".into(), g::multiplier(4)),
+        ("lfsr".into(), g::lfsr(16, &[15, 13, 12, 10])),
+        ("counter".into(), g::counter(6)),
+        ("popcount".into(), g::popcount(9)),
+        ("crc32".into(), g::crc32()),
+        ("fir".into(), g::fir(4, &[3, -1, 2])),
+    ];
+    for seed in 1..=4u64 {
+        out.push((format!("dag{seed}"), g::random_dag(8, 60, 4, seed)));
+        out.push((format!("fsm{seed}"), g::random_fsm(3, 10, 60, 6, seed)));
+    }
+    out
+}
+
 #[test]
-fn unmerged_pipeline_legalizes_without_popcount_fallback() {
-    // the whole point of dropping layer-merge for this backend: every
-    // threshold row is a gate, every linear row a parity — no `Weighted`
-    for (name, nl) in suite() {
-        let nn = compile(&nl, CompileOptions::with_l(4).with_passes(unmerged())).unwrap();
-        let plan = BitplaneNn::from_compiled(&nn).unwrap();
-        let census = plan.op_census();
-        assert_eq!(
-            census.weighted, 0,
-            "{name}: unmerged plan fell back to Weighted"
-        );
-        assert!(census.total() > 0, "{name}: empty plan");
+fn every_default_artifact_lowers_to_gates_and_parities() {
+    // the default pipeline and every prefix of it (fold, cse, dce), with
+    // and without the wide-gate shortcut: generated circuits at every L
+    // from 2 to 8, the suite (DMA skipped, and three L for debug-mode
+    // runtime) at the smallest L, the tests' and the CLI's default —
+    // every threshold row must be a gate, every linear row a parity
+    assert!(!PassSet::default().contains(PassId::LayerMerge));
+    let prefixes = PassSet::default().to_vec().len();
+    let all_l = (2..=8).collect::<Vec<usize>>();
+    let suite_l = vec![2, 4, 7];
+    let suite = suite().into_iter().filter(|(name, _)| *name != "DMA");
+    let cases = generated()
+        .into_iter()
+        .map(|c| (c, all_l.clone()))
+        .chain(suite.map(|(name, nl)| ((name.to_string(), nl), suite_l.clone())));
+    for ((name, nl), ls) in cases {
+        let cut = prepare(&nl).unwrap();
+        for l in ls {
+            for wide_gates in [false, true] {
+                let map = MapConfig {
+                    wide_gates,
+                    ..MapConfig::with_l(l)
+                };
+                let graph = map_netlist(&cut.comb, map).unwrap();
+                for prefix in 0..=prefixes {
+                    let opts = CompileOptions::with_l(l).with_passes(PassSet::prefix(prefix));
+                    let nn = compile_graph::<f32>(
+                        &graph,
+                        nl.gate_count(),
+                        cut.num_primary_inputs,
+                        cut.num_primary_outputs,
+                        cut.state_init.clone(),
+                        opts,
+                    )
+                    .unwrap();
+                    if let Err(e) = BitplaneNn::from_compiled(&nn) {
+                        panic!("{name} L={l} wide={wide_gates} prefix={prefix}: refused: {e}");
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -145,19 +175,17 @@ fn exact_word_and_single_lane_batches_stay_exact() {
     // batch widths at the packing boundaries: 1 (one lone bit in a word)
     // and 64 (exactly full word, empty tail mask path)
     let nl = c2nn_circuits::uart();
+    let nn = compile(&nl);
+    let plan = BitplaneNn::from_compiled(&nn).unwrap();
     for batch in [1usize, 64] {
-        for (tag, opts) in configs() {
-            let nn = compile(&nl, opts).unwrap();
-            let plan = BitplaneNn::from_compiled(&nn).unwrap();
-            let mut bit_sim = BitplaneSimulator::new(&plan, batch, Device::Serial);
-            let mut csr_sim = Simulator::new(&nn, batch, Device::Serial);
-            let mut rng = Lcg(0x51ce ^ batch as u64);
-            for cycle in 0..8 {
-                let lanes = rng.lanes(batch, nn.num_primary_inputs);
-                let got = step_lanes(&mut bit_sim, &lanes);
-                let want = csr_sim.step(&Dense::<f32>::from_lanes(&lanes)).to_lanes();
-                assert_eq!(got, want, "uart [{tag}] batch {batch}: cycle {cycle}");
-            }
+        let mut bit_sim = BitplaneSimulator::new(&plan, batch, Device::Serial);
+        let mut csr_sim = Simulator::new(&nn, batch, Device::Serial);
+        let mut rng = Lcg(0x51ce ^ batch as u64);
+        for cycle in 0..8 {
+            let lanes = rng.lanes(batch, nn.num_primary_inputs);
+            let got = step_lanes(&mut bit_sim, &lanes);
+            let want = csr_sim.step(&Dense::<f32>::from_lanes(&lanes)).to_lanes();
+            assert_eq!(got, want, "uart batch {batch}: cycle {cycle}");
         }
     }
 }
@@ -167,7 +195,7 @@ fn parallel_dispatch_matches_serial() {
     // pool-sharded execution must be bit-identical to the serial loop,
     // across a batch spanning three words (130 = 2 full + ragged 2)
     let nl = c2nn_circuits::spi();
-    let nn = compile(&nl, CompileOptions::with_l(4).with_passes(unmerged())).unwrap();
+    let nn = compile(&nl);
     let plan = BitplaneNn::from_compiled(&nn).unwrap();
     let mut serial = BitplaneSimulator::new(&plan, 130, Device::Serial);
     let mut parallel = BitplaneSimulator::new(&plan, 130, Device::Parallel);
@@ -187,7 +215,7 @@ fn csr_packed_entry_is_the_same_loop_as_step() {
     // track stepping on `Dense` bit for bit, state included, and hand
     // back canonical (zero-tail) planes
     let nl = c2nn_circuits::uart();
-    let nn = compile(&nl, CompileOptions::with_l(4)).unwrap();
+    let nn = compile(&nl);
     for batch in [1usize, 63, 65] {
         let mut dense = Simulator::new(&nn, batch, Device::Serial);
         let mut packed = Simulator::new(&nn, batch, Device::Serial);
@@ -213,7 +241,7 @@ fn output_planes_never_carry_dirty_ragged_tails() {
     // set the bits past `batch` inside the engine; what leaves it must be
     // the one canonical image of the logical tensor
     let nl = c2nn_circuits::generators::random_fsm(3, 10, 60, 6, 0x7a11);
-    let nn = compile(&nl, CompileOptions::with_l(4).with_passes(unmerged())).unwrap();
+    let nn = compile(&nl);
     assert!(nn.state_init.contains(&true), "need an init-true flop");
     let plan = BitplaneNn::from_compiled(&nn).unwrap();
     for batch in [1usize, 63, 64, 65] {
@@ -245,7 +273,7 @@ fn state_survives_a_read_write_round_trip_and_a_lane_count_change() {
     // the other (at a different lane count than it was built with) must
     // continue the same trajectory
     let nl = c2nn_circuits::uart();
-    let nn = compile(&nl, CompileOptions::with_l(4).with_passes(unmerged())).unwrap();
+    let nn = compile(&nl);
     let plan = BitplaneNn::from_compiled(&nn).unwrap();
     let batch = 70;
     let mut bit_sim = BitplaneSimulator::new(&plan, batch, Device::Serial);
@@ -279,7 +307,7 @@ fn state_survives_a_read_write_round_trip_and_a_lane_count_change() {
 #[test]
 fn resident_shape_errors_are_typed_and_identical_across_engines() {
     let nl = c2nn_circuits::uart();
-    let nn = compile(&nl, CompileOptions::with_l(4).with_passes(unmerged())).unwrap();
+    let nn = compile(&nl);
     let plan = BitplaneNn::from_compiled(&nn).unwrap();
     let pi = nn.num_primary_inputs;
     let mut bit_sim = BitplaneSimulator::new(&plan, 2, Device::Serial);

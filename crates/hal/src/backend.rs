@@ -12,7 +12,7 @@
 //! ([`RaggedBatch`]).
 //!
 //! Admission is fallible by design: a backend that cannot run a model
-//! (e.g. bit-plane legalization of non-integral weights) returns a typed
+//! (e.g. bit-plane on a threshold row that is not a gate) returns a typed
 //! [`Reject`] *at admission time*, so `--backend auto` can fall through to
 //! the next-best candidate instead of discovering the failure inside a
 //! batcher thread.
@@ -52,12 +52,12 @@ impl std::error::Error for Reject {}
 ///
 /// ```text
 /// t_cycle(batch) = layers × launch_s
-///                + ⌈batch / lanes_per_word⌉ × (cheap + factor × weighted) / unit_per_s
+///                + ⌈batch / lanes_per_word⌉ × units / unit_per_s
 /// ```
 ///
-/// CSR backends report one lane per "word", `cheap_units` = nnz (one MAC
-/// per nonzero per lane) and no weighted units; the bit-plane backend
-/// reports 64 lanes per word and its modeled word-op split.
+/// CSR backends report one lane per "word" and `units` = nnz (one MAC per
+/// nonzero per lane); the bit-plane backend reports 64 lanes per word and
+/// its modeled word-ops.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Manifest {
     /// Backend that produced this plan.
@@ -67,11 +67,8 @@ pub struct Manifest {
     pub lanes_per_word: u64,
     /// Layers per simulated cycle (each is one dispatch).
     pub layers: u64,
-    /// Work units per word-column on the backend's cheap path.
-    pub cheap_units: f64,
-    /// Work units per word-column on the backend's expensive path
-    /// (priced at the table's `weighted_unit_factor`).
-    pub weighted_units: f64,
+    /// Work units per word-column per cycle.
+    pub units: f64,
 }
 
 /// A stepping engine over a plan. The required methods are the engine's
@@ -203,9 +200,8 @@ pub trait Backend: Send + Sync {
     fn name(&self) -> &'static str;
 
     /// Admit a compiled network: legalize it for this engine and return
-    /// the costed plan, or a typed refusal. Admission must accept models
-    /// compiled with any options — callers compile once and then select —
-    /// and the conformance suite holds every backend to that
-    /// ([`compile_configs`](crate::conformance::compile_configs)).
+    /// the costed plan, or a typed refusal naming what it cannot run.
+    /// Callers compile once and then select, so a refusal makes `auto`
+    /// fall through to the next candidate.
     fn admit(&self, nn: &Arc<CompiledNn<f32>>) -> Result<Arc<dyn Plan>, Reject>;
 }

@@ -6,7 +6,7 @@
 //! * `pooled-csr` — the same CSR kernels sharded on the shared worker
 //!   pool ([`c2nn_tensor::Pool`]). The paper's stimulus parallelism.
 //! * `bitplane` — 64 stimuli per machine word over word ops (see
-//!   [`c2nn_core::bitplane`]). Requires exact integral weights; refuses
+//!   [`c2nn_core::bitplane`]). Runs gates and parities only; refuses
 //!   admission otherwise.
 //!
 //! All three run the same [`Runner`] contract with bit-exact semantics —
@@ -116,8 +116,7 @@ impl Backend for CsrBackend {
             lanes_per_word: 1,
             layers: nn.num_layers() as u64,
             // one MAC per nonzero weight per lane per cycle
-            cheap_units: nn.connections() as f64,
-            weighted_units: 0.0,
+            units: nn.connections() as f64,
         };
         Ok(Arc::new(CsrPlan {
             backend: self.name,
@@ -128,16 +127,14 @@ impl Backend for CsrBackend {
     }
 }
 
-/// The packed-bitplane backend: 64 stimuli per word; admission legalizes
-/// the network to a [`BitplaneNn`] (typed refusal for non-integral
-/// weights) and prices its gate ops and counter rows separately.
+/// The packed-bitplane backend: 64 stimuli per word; admission lowers the
+/// network to a [`BitplaneNn`] of gates and parities, one word op per
+/// neuron, priced by its modeled word-ops.
 ///
-/// Any compiled network is admitted, but the pass set decides what it
-/// costs: layer-merge trades depth for dense integer rows — a win for CSR
-/// arithmetic — and those rows force the executor into its counter
-/// fallback ([`RowOp::Weighted`](c2nn_core::bitplane::RowOp)), whereas the
-/// unmerged threshold/linear alternation legalizes popcount-free, to
-/// single word ops per neuron.
+/// Every network the default pipeline emits is admitted. A row with no
+/// gate form — the mixed-sign rows of a `layer-merge`d or hand-built
+/// network — or a non-integral weight is a typed [`Reject`] naming its
+/// layer and row, so `--backend auto` falls through to a CSR engine.
 pub struct BitplaneBackend;
 
 struct BitplanePlan {
@@ -180,13 +177,11 @@ impl Backend for BitplaneBackend {
             backend: "bitplane".to_string(),
             reason: e.to_string(),
         })?;
-        let (cheap_units, weighted_units) = program.modeled_units();
         let manifest = Manifest {
             backend: "bitplane".to_string(),
             lanes_per_word: 64,
             layers: program.num_layers() as u64,
-            cheap_units,
-            weighted_units,
+            units: program.modeled_word_ops() as f64,
         };
         Ok(Arc::new(BitplanePlan {
             nn: Arc::clone(nn),

@@ -1,7 +1,9 @@
 //! The shared backend-conformance suite: every registered backend must be
-//! bit-exact against the pooled-CSR [`Simulator`] (all lanes) and the
+//! bit-exact against the serial CSR [`Simulator`] (all lanes) and the
 //! gate-level reference simulator (spot-checked lanes) on every suite
-//! circuit, over ragged batch widths, with identical typed shape errors.
+//! circuit, over ragged batch widths, with identical typed shape errors —
+//! on the network every engine runs (the default pass set at `L` = 4, what
+//! `c2nn sim/bench/serve`, the model registry and the benchmark build).
 //!
 //! This lives in the library (not just `tests/`) so out-of-tree backends
 //! can hold themselves to the same contract:
@@ -16,9 +18,7 @@
 //! `#[test]` wrappers; see `crates/hal/tests/conformance.rs`).
 
 use crate::backend::Backend;
-use c2nn_core::{
-    compile, run_batch, CompileOptions, PassId, Session, SimError, Simulator, Stimulus,
-};
+use c2nn_core::{compile, run_batch, CompileOptions, Session, SimError, Simulator, Stimulus};
 use c2nn_netlist::Netlist;
 use c2nn_refsim::CycleSim;
 use c2nn_tensor::{Dense, Device};
@@ -58,19 +58,6 @@ pub fn suite_workloads() -> Vec<(&'static str, Netlist)> {
         .collect()
 }
 
-/// The compile configurations every backend is held to, labelled:
-/// `default` — what `c2nn sim/bench/serve`, the model registry and the
-/// benchmark all build before they `select`, so what every production plan
-/// is made of (for bit-plane: the merged network with `Weighted` rows) —
-/// and `unmerged`, the same without layer-merge (for bit-plane: the
-/// popcount-free gate path). Admission accepts models compiled with any
-/// options, so both are applied to every backend.
-pub fn compile_configs() -> [(&'static str, CompileOptions); 2] {
-    let default = CompileOptions::with_l(4);
-    let unmerged = default.with_passes(default.passes.without(PassId::LayerMerge));
-    [("default", default), ("unmerged", unmerged)]
-}
-
 /// Lanes per batch that also get an independent gate-level refsim (refsim
 /// is scalar and slow; CSR covers every lane, refsim anchors the pair to
 /// the source circuit).
@@ -85,26 +72,19 @@ const BATCH: usize = 67;
 /// Run the full conformance contract against one backend. Panics with a
 /// labeled message on any divergence.
 pub fn check_backend(backend: &dyn Backend) {
-    let configs = compile_configs();
-    for ((cname, nl), (cfg, opts)) in suite_workloads()
-        .iter()
-        .flat_map(|w| configs.iter().map(move |c| (w, c)))
-    {
-        let name = format!("{}[{cfg}]", backend.name());
-        let nn = Arc::new(compile(nl, *opts).unwrap());
+    let name = backend.name();
+    for (cname, nl) in &suite_workloads() {
+        let nn = Arc::new(compile(nl, CompileOptions::with_l(4)).unwrap());
         let plan = backend
             .admit(&nn)
             .unwrap_or_else(|r| panic!("{name}/{cname}: backend refused a compiled network: {r}"));
         assert_eq!(
             plan.backend(),
-            backend.name(),
+            name,
             "{cname}: plan reports the wrong backend"
         );
         let m = plan.manifest();
-        assert!(
-            m.layers > 0 && m.cheap_units + m.weighted_units > 0.0,
-            "{cname}: empty manifest"
-        );
+        assert!(m.layers > 0 && m.units > 0.0, "{cname}: empty manifest");
 
         let mut runner = plan.runner();
         let mut sessions: Vec<Session<f32>> = (0..BATCH).map(|_| Session::new(&nn)).collect();
@@ -112,7 +92,7 @@ pub fn check_backend(backend: &dyn Backend) {
         let mut refs: Vec<CycleSim> = (0..REF_LANES.min(BATCH))
             .map(|_| CycleSim::new(nl).unwrap())
             .collect();
-        let mut rng = Lcg(0xc0f ^ cname.len() as u64 ^ (backend.name().len() as u64) << 8);
+        let mut rng = Lcg(0xc0f ^ cname.len() as u64 ^ (name.len() as u64) << 8);
         let pi = nn.num_primary_inputs;
         for cycle in 0..CYCLES {
             let lanes = rng.lanes(BATCH, pi);
@@ -157,77 +137,74 @@ pub fn check_backend(backend: &dyn Backend) {
 pub fn check_ragged_batches(backend: &dyn Backend) {
     let nl = c2nn_circuits::uart();
     let wide: Vec<usize> = (0..70).map(|lane| 130 - lane).collect();
-    for (cfg, opts) in compile_configs() {
-        let name = format!("{}[{cfg}]", backend.name());
-        let nn = Arc::new(compile(&nl, opts).unwrap());
-        let plan = backend.admit(&nn).unwrap();
-        let pi = nn.num_primary_inputs;
-        let mut rng = Lcg(0x4a66 ^ backend.name().len() as u64);
-        for lengths in [&[7, 0, 12, 3, 12, 1][..], &wide] {
-            let stims: Vec<Stimulus> = lengths
-                .iter()
-                .map(|&len| Stimulus {
-                    cycles: rng.lanes(len, pi),
-                })
-                .collect();
-            let got = plan.execute_batch(&stims).unwrap();
-            let want = run_batch(&nn, &stims, Device::Serial);
-            assert_eq!(got.len(), want.len());
-            for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
-                assert_eq!(
-                    g.cycles,
-                    w.cycles,
-                    "{name}: ragged batch lane {lane} of {} diverged",
-                    lengths.len()
-                );
-            }
+    let name = backend.name();
+    let nn = Arc::new(compile(&nl, CompileOptions::with_l(4)).unwrap());
+    let plan = backend.admit(&nn).unwrap();
+    let pi = nn.num_primary_inputs;
+    let mut rng = Lcg(0x4a66 ^ name.len() as u64);
+    for lengths in [&[7, 0, 12, 3, 12, 1][..], &wide] {
+        let stims: Vec<Stimulus> = lengths
+            .iter()
+            .map(|&len| Stimulus {
+                cycles: rng.lanes(len, pi),
+            })
+            .collect();
+        let got = plan.execute_batch(&stims).unwrap();
+        let want = run_batch(&nn, &stims, Device::Serial);
+        assert_eq!(got.len(), want.len());
+        for (lane, (g, w)) in got.iter().zip(&want).enumerate() {
+            assert_eq!(
+                g.cycles,
+                w.cycles,
+                "{name}: ragged batch lane {lane} of {} diverged",
+                lengths.len()
+            );
         }
-        // empty batch is a no-op, not an error
-        assert!(plan.execute_batch(&[]).unwrap().is_empty());
     }
+    // empty batch is a no-op, not an error
+    assert!(plan.execute_batch(&[]).unwrap().is_empty());
 }
 
 /// Typed shape errors must be identical across backends (callers match on
 /// them; a backend swap must not change error behavior).
 pub fn check_error_parity(backend: &dyn Backend) {
     let nl = c2nn_circuits::uart();
-    for (cfg, opts) in compile_configs() {
-        let name = format!("{}[{cfg}]", backend.name());
-        let nn = Arc::new(compile(&nl, opts).unwrap());
-        let plan = backend.admit(&nn).unwrap();
-        let pi = nn.num_primary_inputs;
-        let mut runner = plan.runner();
+    let name = backend.name();
+    let nn = Arc::new(compile(&nl, CompileOptions::with_l(4)).unwrap());
+    let plan = backend.admit(&nn).unwrap();
+    let pi = nn.num_primary_inputs;
+    let mut runner = plan.runner();
 
-        let mut sessions = vec![Session::new(&nn), Session::new(&nn)];
-        // batch/input mismatch
-        assert_eq!(
-            runner.step(&mut sessions, &[vec![false; pi]]).unwrap_err(),
-            SimError::BatchMismatch {
-                expected: 2,
-                got: 1
-            },
-            "{name}: batch mismatch error shape"
-        );
-        // wrong input width
-        assert_eq!(
-            runner
-                .step(&mut sessions, &[vec![false; pi + 1], vec![false; pi]])
-                .unwrap_err(),
-            SimError::InputWidth {
-                expected: pi,
-                got: pi + 1
-            },
-            "{name}: input width error shape"
-        );
-        // foreign session (state vector from a different model)
-        let other = Arc::new(compile(&c2nn_circuits::generators::counter(3), opts).unwrap());
-        let mut foreign = vec![Session::new(&other)];
-        let err = runner.step(&mut foreign, &[vec![false; pi]]).unwrap_err();
-        assert!(
-            matches!(err, SimError::StateWidth { .. }),
-            "{name}: foreign session error shape: {err:?}"
-        );
-        // empty batch steps to an empty output
-        assert_eq!(runner.step(&mut [], &[]).unwrap(), Vec::<Vec<bool>>::new());
-    }
+    let mut sessions = vec![Session::new(&nn), Session::new(&nn)];
+    // batch/input mismatch
+    assert_eq!(
+        runner.step(&mut sessions, &[vec![false; pi]]).unwrap_err(),
+        SimError::BatchMismatch {
+            expected: 2,
+            got: 1
+        },
+        "{name}: batch mismatch error shape"
+    );
+    // wrong input width
+    assert_eq!(
+        runner
+            .step(&mut sessions, &[vec![false; pi + 1], vec![false; pi]])
+            .unwrap_err(),
+        SimError::InputWidth {
+            expected: pi,
+            got: pi + 1
+        },
+        "{name}: input width error shape"
+    );
+    // foreign session (state vector from a different model)
+    let counter = c2nn_circuits::generators::counter(3);
+    let other = Arc::new(compile(&counter, CompileOptions::with_l(4)).unwrap());
+    let mut foreign = vec![Session::new(&other)];
+    let err = runner.step(&mut foreign, &[vec![false; pi]]).unwrap_err();
+    assert!(
+        matches!(err, SimError::StateWidth { .. }),
+        "{name}: foreign session error shape: {err:?}"
+    );
+    // empty batch steps to an empty output
+    assert_eq!(runner.step(&mut [], &[]).unwrap(), Vec::<Vec<bool>>::new());
 }

@@ -9,14 +9,12 @@
 //!
 //! ```text
 //! t_cycle(batch) = layers × launch_s
-//!                + ⌈batch / lanes_per_word⌉
-//!                  × (cheap + weighted_unit_factor × weighted) / unit_per_s
+//!                + ⌈batch / lanes_per_word⌉ × units / unit_per_s
 //! ```
 //!
-//! For a CSR backend (`lanes_per_word` = 1, `cheap` = nnz, no weighted
-//! units) this is a launch term plus MACs at a sustained rate; the
-//! bit-plane backend amortizes a word-op stream over 64 lanes, with its
-//! counter rows priced at a premium.
+//! For a CSR backend (`lanes_per_word` = 1, `units` = nnz) this is a
+//! launch term plus MACs at a sustained rate; the bit-plane backend
+//! amortizes a word-op stream over 64 lanes.
 
 use crate::backend::Manifest;
 
@@ -25,14 +23,11 @@ use crate::backend::Manifest;
 pub struct BackendCalibration {
     /// Registry name of the backend these numbers describe.
     pub backend: String,
-    /// Sustained cheap-path work units per second (MACs for CSR
-    /// backends, word-ops for the bit-plane engine).
+    /// Sustained work units per second (MACs for CSR backends, word-ops
+    /// for the bit-plane engine).
     pub unit_per_s: f64,
     /// Fixed per-layer dispatch cost, seconds.
     pub launch_s: f64,
-    /// Relative cost of one weighted (expensive-path) unit in cheap
-    /// units. 1.0 when the backend has a single path.
-    pub weighted_unit_factor: f64,
 }
 
 impl BackendCalibration {
@@ -40,8 +35,7 @@ impl BackendCalibration {
     /// given manifest.
     pub fn cycle_seconds_for(&self, m: &Manifest, batch: usize) -> f64 {
         let words = (batch as u64).div_ceil(m.lanes_per_word.max(1)) as f64;
-        let units = m.cheap_units + self.weighted_unit_factor * m.weighted_units;
-        m.layers as f64 * self.launch_s + words * units / self.unit_per_s
+        m.layers as f64 * self.launch_s + words * m.units / self.unit_per_s
     }
 
     /// Predicted simulated cycles/s summed over all lanes of the batch —
@@ -63,11 +57,11 @@ pub struct DeviceCalibration {
 }
 
 impl DeviceCalibration {
-    /// The built-in table every `--backend auto` decision uses: plausible
-    /// single-host numbers that preserve the expected ordering (bit-plane
-    /// ≫ pooled CSR ≫ scalar at batch, scalar best at batch 1 on tiny
-    /// models). The numbers do not depend on `threads`; `--backend <name>`
-    /// overrides the pick.
+    /// The built-in table every `--backend auto` decision uses, fitted to
+    /// which engine wins measured `execute_batch` runs on the suite: scalar
+    /// at one lane, bit-plane from 64 lanes up, pooled CSR nowhere. The
+    /// numbers do not depend on `threads`; `--backend <name>` overrides
+    /// the pick.
     pub fn default_host(threads: usize) -> Self {
         DeviceCalibration {
             device: "built-in defaults".to_string(),
@@ -77,19 +71,16 @@ impl DeviceCalibration {
                     backend: "scalar".to_string(),
                     unit_per_s: 2e8,
                     launch_s: 2e-7,
-                    weighted_unit_factor: 1.0,
                 },
                 BackendCalibration {
                     backend: "pooled-csr".to_string(),
-                    unit_per_s: 8e8,
-                    launch_s: 1e-5,
-                    weighted_unit_factor: 1.0,
+                    unit_per_s: 4e8,
+                    launch_s: 4e-5,
                 },
                 BackendCalibration {
                     backend: "bitplane".to_string(),
                     unit_per_s: 2e9,
-                    launch_s: 1e-5,
-                    weighted_unit_factor: 1.5,
+                    launch_s: 4e-5,
                 },
             ],
         }
@@ -111,14 +102,12 @@ mod tests {
             backend: "bitplane".to_string(),
             unit_per_s: 1e9,
             launch_s: 0.0,
-            weighted_unit_factor: 2.0,
         };
         let m = Manifest {
             backend: "bitplane".to_string(),
             lanes_per_word: 64,
             layers: 4,
-            cheap_units: 100.0,
-            weighted_units: 10.0,
+            units: 120.0,
         };
         // one word of 64 lanes costs the same as one lane
         let t1 = cal.cycle_seconds_for(&m, 1);
@@ -126,7 +115,6 @@ mod tests {
         assert_eq!(t1, t64);
         // 65 lanes spill into a second word
         assert!(cal.cycle_seconds_for(&m, 65) > t64);
-        // weighted units are priced at the factor: 100 + 2×10 = 120 units
         assert!((t64 - 120.0 / 1e9).abs() < 1e-15);
         // lane-rate at 64 is 64× the single-lane rate
         assert!((cal.predict_lane_cps(&m, 64) / cal.predict_lane_cps(&m, 1) - 64.0).abs() < 1e-9);

@@ -1,5 +1,5 @@
 //! The backend-conformance suite run against every built-in backend: each
-//! engine must be bit-exact vs the pooled-CSR `Simulator` and the
+//! engine must be bit-exact vs the serial CSR `Simulator` and the
 //! gate-level refsim on every suite circuit, honor ragged `execute_batch`
 //! semantics, and produce identical typed shape errors. These are the
 //! tests the CI `backend-conformance` job runs in release mode.

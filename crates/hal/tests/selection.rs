@@ -4,13 +4,16 @@
 //!
 //! * auto selection is a pure function of (model, table, batch);
 //! * a backend whose `admit` rejects is skipped and auto falls back to
-//!   the next-best *predicted* backend, not the next registered one.
+//!   the next-best *predicted* backend, not the next registered one;
+//! * the bit-plane backend refuses a network with a non-gate row — a
+//!   `layer-merge`d one, a hand-built majority — typed, naming the layer
+//!   and row, and auto falls through to a CSR engine.
 //!
 //! The vendored proptest exposes integer-range strategies only, so float
 //! parameters are generated as integers and scaled — which also keeps
 //! every generated rate finite and positive by construction.
 
-use c2nn_core::{compile, CompileOptions, CompiledNn};
+use c2nn_core::{compile, CompileOptions, CompiledNn, PassSet};
 use c2nn_hal::{
     Backend, BackendCalibration, BackendRegistry, Choice, DeviceCalibration, Plan, Reject,
 };
@@ -49,7 +52,6 @@ fn entry(backend: &str, unit_per_s: f64, launch_s: f64) -> BackendCalibration {
         backend: backend.to_string(),
         unit_per_s,
         launch_s,
-        weighted_unit_factor: 1.0,
     }
 }
 
@@ -148,4 +150,68 @@ fn named_rejecting_backend_is_an_error() {
         .err()
         .unwrap();
     assert!(matches!(err, c2nn_hal::SelectError::Rejected(_)), "{err:?}");
+}
+
+/// The bit-plane backend's refusal of `nn`, after checking that `auto`
+/// falls through to a CSR engine and lists bit-plane as skipped for it.
+fn bitplane_refusal(nn: CompiledNn<f32>) -> String {
+    let nn = Arc::new(nn);
+    let reject = BackendRegistry::global()
+        .get("bitplane")
+        .unwrap()
+        .admit(&nn)
+        .err()
+        .expect("bit-plane must refuse a non-gate row");
+    assert_eq!(reject.backend, "bitplane");
+    let cal = DeviceCalibration::default_host(1);
+    for lanes in [1, 4096] {
+        let sel = BackendRegistry::global()
+            .select(&nn, &Choice::Auto, &cal, lanes)
+            .unwrap();
+        assert!(
+            ["scalar", "pooled-csr"].contains(&sel.backend.as_str()),
+            "{lanes} lanes: {}",
+            sel.backend
+        );
+        let bitplane = sel.candidates.iter().find(|c| c.backend == "bitplane");
+        assert_eq!(
+            bitplane.and_then(|c| c.skipped.as_deref()),
+            Some(reject.reason.as_str())
+        );
+    }
+    reject.reason
+}
+
+#[test]
+fn bitplane_refuses_a_merged_network_by_layer_and_row() {
+    let opts = CompileOptions::with_l(4).with_passes(PassSet::all());
+    let reason = bitplane_refusal(compile(&c2nn_circuits::uart(), opts).unwrap());
+    assert!(reason.starts_with("layer "), "{reason}");
+    assert!(
+        reason.contains(" row ") && reason.contains("not a gate"),
+        "{reason}"
+    );
+}
+
+#[test]
+fn bitplane_refuses_a_hand_built_majority_row_by_layer_and_row() {
+    use c2nn_core::{Activation2, NnLayer};
+    use c2nn_tensor::Csr;
+    // maj(a, b, c) = a + b + c − 1 > 0: a threshold row with no gate form
+    let majority = NnLayer {
+        weights: Csr::from_triplets(1, 3, vec![(0, 0, 1.0), (0, 1, 1.0), (0, 2, 1.0)]),
+        bias: vec![-1.0],
+        activation: Activation2::Threshold,
+    };
+    let nn = CompiledNn {
+        name: "maj".into(),
+        layers: vec![majority],
+        num_primary_inputs: 3,
+        num_primary_outputs: 1,
+        state_init: vec![],
+        gate_count: 1,
+        lut_size: 3,
+    };
+    let reason = bitplane_refusal(nn);
+    assert!(reason.starts_with("layer 0 row 0: "), "{reason}");
 }

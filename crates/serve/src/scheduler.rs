@@ -31,7 +31,7 @@
 //! is absorbing (the benchmark's `coalesce_burst`: 64 jobs outstanding,
 //! `serve.scheduler.occupancy` 1.00). The known remedy is to take what is
 //! already queued (`try_recv` up to `max_batch`) and let the window bound
-//! only the *waiting*; ROADMAP item 1 records why it has not landed.
+//! only the *waiting*; ROADMAP item 4a records why it has not landed.
 //!
 //! ## Overload behavior
 //!

@@ -42,7 +42,7 @@ fn usage() -> ! {
     eprintln!(
         "usage:\n  c2nn compile <file.v|.blif> --top <module> [--l <n>] [--wide] [--passes <list>] [--stats] [--out model.json]\n  \
          c2nn stats   <file.v|.blif> --top <module> [--l <n>] [--wide] [--passes <list>] [--stats]\n  \
-         (--passes: all | none | comma list of fold,cse,dce,merge)\n  \
+         (--passes: default fold,cse,dce; all adds the paper's Fig. 5 layer-merge (CSR engines only); none | comma list of fold,cse,dce,merge)\n  \
          c2nn sim     <model.json> --cycles <n> [--batch <n>] [--backend <name>|auto] [--guard]\n  \
          (--backend auto, the default: a built-in cost table picks per model and lane count; sim/bench print every candidate)\n  \
          c2nn bench   <model.json> <tb.stim>... [--backend <name>|auto] (batched testbenches)\n  \
@@ -221,6 +221,22 @@ fn main() {
             if args.iter().any(|a| a == "--stats") {
                 outln!("\nper-pass compile report:");
                 out!("{}", report.to_table());
+                // what the passes bought the bit-plane engine, in its unit
+                outln!("\nbit-plane program:");
+                match c2nn::core::BitplaneNn::from_compiled(&nn) {
+                    Ok(program) => {
+                        let c = program.op_census();
+                        outln!(
+                            "  ops       : {} (and {}, nand {}, or {}, nor {}, xor {}, not {}, const {}, copy {})",
+                            c.total(), c.ands, c.nands, c.ors, c.nors, c.xors, c.nots, c.consts, c.copies
+                        );
+                        outln!(
+                            "  word-ops  : {} modelled per 64 lanes per cycle",
+                            program.modeled_word_ops()
+                        );
+                    }
+                    Err(e) => outln!("  refused   : {e}"),
+                }
             }
             if cmd == "compile" {
                 if let Err(e) = nn.validate() {

@@ -13,7 +13,7 @@
 //! | [`verilog`] | Verilog frontend (lexer/parser/elaborator) |
 //! | [`boolfn`] | truth tables, multilinear polynomials, Algorithm 1 |
 //! | [`lutmap`] | LUT technology mapping (FlowMap-style) |
-//! | [`core`] | the compiler: polynomials → merged sparse NN |
+//! | [`core`] | the compiler: polynomials → sparse NN |
 //! | [`tensor`] | sparse kernels (the PyTorch/cuSPARSE stand-in) |
 //! | [`refsim`] | reference simulators (the Verilator stand-in) |
 //! | [`circuits`] | AES/SHA/SPI/UART/DMA/RV32I benchmark suite |

@@ -21,7 +21,6 @@ use c2nn::core::{
     compile, BitTensor, CompileOptions, CompiledNn, CycleRows, Session, SimError, StepShape,
     Stimulus,
 };
-use c2nn::hal::conformance::compile_configs;
 use c2nn::hal::{Backend, BackendRegistry, Plan, RaggedBatch, Runner};
 use c2nn::netlist::Netlist;
 use c2nn::refsim::CycleSim;
@@ -65,28 +64,24 @@ struct Case {
     plan: Arc<dyn Plan>,
 }
 
-/// Every registered backend × the compile configurations backends are
-/// held to (`hal::conformance::compile_configs`: the default pipeline
-/// every production plan is built from, and the same without
-/// layer-merge), labelled `backend[config]`.
-fn backends() -> Vec<(String, Arc<dyn Backend>, CompileOptions)> {
+/// What every production plan is built from: the default pass set.
+fn opts() -> CompileOptions {
+    CompileOptions::with_l(4)
+}
+
+/// Every registered backend, by name.
+fn backends() -> Vec<(&'static str, Arc<dyn Backend>)> {
     let registry = BackendRegistry::global();
-    let mut out = Vec::new();
-    for name in registry.names() {
-        let backend: &Arc<dyn Backend> = registry.get(name).unwrap();
-        for (cfg, opts) in compile_configs() {
-            out.push((format!("{name}[{cfg}]"), Arc::clone(backend), opts));
-        }
-    }
-    out
+    let named = |name| (name, Arc::clone(registry.get(name).unwrap()));
+    registry.names().into_iter().map(named).collect()
 }
 
 /// Each circuit admitted on each of [`backends`].
 fn admitted() -> Vec<Case> {
     let mut out = Vec::new();
-    for (name, backend, opts) in backends() {
+    for (name, backend) in backends() {
         for (cname, nl) in circuits() {
-            let nn = Arc::new(compile(&nl, opts).unwrap());
+            let nn = Arc::new(compile(&nl, opts()).unwrap());
             if cname == "fsm" {
                 assert!(nn.state_init.contains(&true), "fsm needs an init-true flop");
             }
@@ -361,8 +356,8 @@ fn as_u32(bits: &[bool]) -> u32 {
 
 #[test]
 fn a_late_joiner_counts_from_zero_beside_a_resumed_lane() {
-    for (name, backend, opts) in backends() {
-        let nn = Arc::new(compile(&c2nn::circuits::generators::counter(4), opts).unwrap());
+    for (name, backend) in backends() {
+        let nn = Arc::new(compile(&c2nn::circuits::generators::counter(4), opts()).unwrap());
         let plan = backend.admit(&nn).unwrap();
         let mut runner = plan.runner();
         // a lone session counts 5 cycles...
@@ -390,9 +385,9 @@ fn a_late_joiner_counts_from_zero_beside_a_resumed_lane() {
 #[test]
 fn shape_errors_are_typed_identical_and_leave_sessions_alone() {
     let foreign_nl = c2nn::circuits::generators::counter(3);
-    for (name, backend, opts) in backends() {
-        let nn = Arc::new(compile(&c2nn::circuits::uart(), opts).unwrap());
-        let other = compile(&foreign_nl, opts).unwrap();
+    for (name, backend) in backends() {
+        let nn = Arc::new(compile(&c2nn::circuits::uart(), opts()).unwrap());
+        let other = compile(&foreign_nl, opts()).unwrap();
         let plan = backend.admit(&nn).unwrap();
         let (pi, s) = (nn.num_primary_inputs, nn.state_bits());
         let mut runner = plan.runner();
@@ -472,22 +467,21 @@ fn auto_selection_on_the_suite_is_the_committed_table() {
     use c2nn::hal::{conformance, Choice, DeviceCalibration};
     const LANES: [usize; 4] = [1, 2, 64, 4096];
     const PICKS: [(&str, [&str; 4]); 6] = [
-        ("AES", ["pooled-csr", "pooled-csr", "bitplane", "bitplane"]),
-        ("SHA", ["pooled-csr", "bitplane", "bitplane", "bitplane"]),
+        ("AES", ["scalar", "scalar", "bitplane", "bitplane"]),
+        ("SHA", ["scalar", "scalar", "bitplane", "bitplane"]),
         ("SPI", ["scalar", "scalar", "bitplane", "bitplane"]),
-        ("UART", ["scalar", "pooled-csr", "bitplane", "bitplane"]),
-        ("DMA", ["scalar", "bitplane", "bitplane", "bitplane"]),
+        ("UART", ["scalar", "scalar", "bitplane", "bitplane"]),
+        ("DMA", ["scalar", "scalar", "bitplane", "bitplane"]),
         (
             "RISC-V interface",
-            ["pooled-csr", "pooled-csr", "bitplane", "bitplane"],
+            ["scalar", "scalar", "bitplane", "bitplane"],
         ),
     ];
     let workloads = conformance::suite_workloads();
     assert_eq!(workloads.len(), PICKS.len());
-    let [(_, default), _] = conformance::compile_configs();
     for ((cname, nl), (pname, picks)) in workloads.iter().zip(PICKS) {
         assert_eq!(*cname, pname);
-        let nn = Arc::new(compile(nl, default).unwrap());
+        let nn = Arc::new(compile(nl, opts()).unwrap());
         for (lanes, pick) in LANES.into_iter().zip(picks) {
             let select = |threads| {
                 BackendRegistry::global()
