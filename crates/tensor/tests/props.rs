@@ -1,10 +1,69 @@
 //! Property tests for the tensor substrate: the sparse kernels agree with
 //! naive dense reference implementations on random matrices.
 
-use c2nn_tensor::{forward_dense, forward_sparse, Activation, Csr, Dense, Device};
+use c2nn_tensor::{
+    forward_dense, forward_sparse, forward_sparse_into, Activation, Csr, Dense, Device, Scalar,
+};
 use proptest::prelude::*;
 
 type Trip = (u32, u32, i32);
+
+/// Batch widths on both sides of each regime change of the sparse kernel
+/// (register accumulation for narrow batches, AXPY for wide ones) and of a
+/// 64-lane word.
+const WIDTHS: [usize; 16] = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 63, 64, 65];
+
+/// `forward_sparse_into` at every width in [`WIDTHS`], on both devices and
+/// with both activations, against the naive dense sum `bias + Σ_k W[j][k] ·
+/// x[k][l]` computed in `i64`, bit for bit. One output buffer is reused
+/// across widths, as the simulator reuses its scratch.
+fn check_forward_sparse<T: Scalar>(
+    (rows, cols): (usize, usize),
+    trips: &[Trip],
+    bias: &[i32],
+    xpool: &[i32],
+) {
+    let typed = trips.iter().map(|&(r, c, v)| (r, c, T::from_i32(v)));
+    let w: Csr<T> = Csr::from_triplets(rows, cols, typed.collect());
+    let wd = dense_of(rows, cols, trips);
+    let b: Vec<T> = bias.iter().map(|&v| T::from_i32(v)).collect();
+    let xv = |k: usize, l: usize| xpool[(k * 65 + l) % xpool.len()];
+    let (mut ys, mut yp) = (Dense::zeros(0, 0), Dense::zeros(0, 0));
+    for batch in WIDTHS {
+        let xdata = (0..cols).flat_map(|k| (0..batch).map(move |l| T::from_i32(xv(k, l))));
+        let x = Dense::from_vec(cols, batch, xdata.collect());
+        for act in [Activation::Linear, Activation::Threshold] {
+            forward_sparse_into(&w, &b, &x, act, Device::Serial, &mut ys);
+            forward_sparse_into(&w, &b, &x, act, Device::Parallel, &mut yp);
+            prop_assert_eq!((ys.rows(), ys.cols()), (rows, batch));
+            prop_assert_eq!((yp.rows(), yp.cols()), (rows, batch));
+            for j in 0..rows {
+                for l in 0..batch {
+                    let dot: i64 = (0..cols).map(|k| wd[j * cols + k] * xv(k, l) as i64).sum();
+                    let acc = bias[j] as i64 + dot;
+                    let want = match act {
+                        Activation::Linear => acc,
+                        Activation::Threshold => (acc > 0) as i64,
+                    };
+                    let want = T::from_i32(want as i32).to_bits64();
+                    for (device, y) in [("serial", &ys), ("parallel", &yp)] {
+                        prop_assert_eq!(
+                            y.get(j, l).to_bits64(),
+                            want,
+                            "{} {} {:?} × {} lanes: row {} lane {}",
+                            device,
+                            T::NAME,
+                            act,
+                            batch,
+                            j,
+                            l
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
 
 fn trips_strategy(rows: u32, cols: u32, max: usize) -> impl Strategy<Value = Vec<Trip>> {
     proptest::collection::vec((0..rows, 0..cols, -4i32..5), 0..max)
@@ -84,6 +143,24 @@ proptest! {
                 prop_assert_eq!(ys.get(j, lane) as i64, want);
             }
         }
+    }
+
+    /// The sparse kernel is exact at every batch width, in both dtypes the
+    /// simulator runs (`f32`, and `i32` for the dtype ablation). Rows past
+    /// 64 split the parallel device's work into several tasks; most rows of
+    /// a layer this sparse are empty, and weights go negative.
+    #[test]
+    fn sparse_forward_is_exact_at_every_width(
+        rows in 65usize..130,
+        cols in 1usize..24,
+        trips in proptest::collection::vec((0u32..130, 0u32..24, -4i32..5), 0..160),
+        bias in proptest::collection::vec(-3i32..4, 130),
+        xpool in proptest::collection::vec(-1i32..3, 1..80),
+    ) {
+        let fits = |&&(r, c, _): &&Trip| (r as usize) < rows && (c as usize) < cols;
+        let trips: Vec<Trip> = trips.iter().filter(fits).copied().collect();
+        check_forward_sparse::<f32>((rows, cols), &trips, &bias[..rows], &xpool);
+        check_forward_sparse::<i32>((rows, cols), &trips, &bias[..rows], &xpool);
     }
 
     /// matvec equals a row of SpMM.

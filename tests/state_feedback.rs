@@ -26,7 +26,8 @@ use c2nn::netlist::Netlist;
 use c2nn::refsim::CycleSim;
 use std::sync::Arc;
 
-const LANE_COUNTS: [usize; 4] = [1, 63, 65, 130];
+/// Narrow batches (each its own CSR kernel width) and both sides of a word.
+const LANE_COUNTS: [usize; 7] = [1, 2, 3, 5, 63, 65, 130];
 
 struct Lcg(u64);
 
