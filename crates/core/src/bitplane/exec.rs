@@ -1,118 +1,80 @@
-//! Word-parallel execution of a bit-plane program.
+//! Word-parallel execution of a bit-plane program over a plane file.
 //!
-//! One forward pass evaluates each output plane from the input planes with
-//! plain word ops: 64 stimulus lanes advance per AND/OR/XOR. Everything is
-//! lane-wise, so ragged batches need no masking — garbage in the tail bits
-//! stays in the tail bits.
+//! The plane file holds every plane of one cycle, `W` words each: inputs
+//! and state at its head, then each computed op's output in plane order.
+//! Copies were resolved at lowering, so every op writes a new plane with
+//! plain word ops — 64 stimulus lanes advance per AND/OR/XOR — and reads
+//! only planes of earlier levels. Everything is lane-wise, so ragged
+//! batches need no masking — garbage in the tail bits stays in the tail
+//! bits.
 //!
-//! Rows are independent, so layers dispatch on the shared worker pool in
-//! whole-plane chunks (`W` words each), mirroring the CSR path's
+//! Ops within a level are independent, so each level is one dispatch on
+//! the shared worker pool in whole-plane chunks, mirroring the CSR path's
 //! row-sharded `par_chunks_mut`.
 
-use super::pack::BitTensor;
-use super::plan::{BitLayer, BitplaneNn, RowOp};
+use super::plan::{BitplaneNn, Fold, Op};
 use c2nn_tensor::par::par_chunks_mut;
 use c2nn_tensor::Device;
 
-/// Ping-pong buffers for a forward pass, reusable across calls.
-#[derive(Clone, Debug, Default)]
-pub struct BitplaneScratch {
-    a: BitTensor,
-    b: BitTensor,
-}
-
 impl BitplaneNn {
-    /// Run the network on packed stimuli: `x` is `in_width × batch`
-    /// (primary inputs followed by state planes). Returns the output
-    /// tensor (`out_width × batch`) borrowed from `scratch`.
-    ///
-    /// Panics if the network has no layers or `x` has the wrong width
-    /// (the simulator/runner wrappers surface those as typed errors).
-    pub fn forward_with<'s>(
-        &self,
-        x: &BitTensor,
-        device: Device,
-        scratch: &'s mut BitplaneScratch,
-    ) -> &'s BitTensor {
-        assert!(!self.layers.is_empty(), "forward on empty network");
-        assert_eq!(x.features(), self.in_width(), "input plane count");
-        forward_layer(&self.layers[0], x, device, &mut scratch.a);
-        let (mut src, mut dst) = (&mut scratch.a, &mut scratch.b);
-        for layer in &self.layers[1..] {
-            forward_layer(layer, src, device, dst);
-            std::mem::swap(&mut src, &mut dst);
+    /// Run every level over `planes` (`self.planes()` planes of `w` words
+    /// each): its first `in_width()` planes hold the primary inputs and
+    /// the state, every computed plane is written in place.
+    pub(crate) fn forward(&self, planes: &mut [u64], w: usize, device: Device) {
+        assert_eq!(planes.len(), self.planes() * w, "plane file size");
+        if w == 0 {
+            return;
         }
-        src
-    }
-}
-
-/// Evaluate one layer into `y` (resized in place).
-pub(crate) fn forward_layer(layer: &BitLayer, x: &BitTensor, device: Device, y: &mut BitTensor) {
-    debug_assert_eq!(x.features(), layer.in_width);
-    y.resize_to(layer.ops.len(), x.batch());
-    let w = x.words_per_feature();
-    if w == 0 || layer.ops.is_empty() {
-        return;
-    }
-    // same shape as the CSR dispatch: shard rows, keep a few thousand
-    // words of work per task
-    let grain = (4096 / w).clamp(1, 256);
-    match device {
-        Device::Serial => {
-            for (r, out) in y.data_mut().chunks_mut(w).enumerate() {
-                eval_op(&layer.ops[r], x, out);
+        // same shape as the CSR dispatch: shard rows, keep a few thousand
+        // words of work per task
+        let grain = (4096 / w).clamp(1, 256);
+        let mut base = self.in_width();
+        for &end in &self.level_ends {
+            let end = end as usize;
+            let (done, level) = planes[..end * w].split_at_mut(base * w);
+            let ops = &self.ops[base - self.in_width()..end - self.in_width()];
+            let eval = |r: usize, out: &mut [u64]| self.eval(ops[r], done, w, out);
+            match device {
+                Device::Serial => level
+                    .chunks_mut(w)
+                    .enumerate()
+                    .for_each(|(r, o)| eval(r, o)),
+                Device::Parallel => par_chunks_mut(level, w, grain, eval),
             }
-        }
-        Device::Parallel => {
-            par_chunks_mut(y.data_mut(), w, grain, |r, out| {
-                eval_op(&layer.ops[r], x, out)
-            });
+            base = end;
         }
     }
-}
 
-/// Evaluate one output plane (`out` is its `W` words).
-fn eval_op(op: &RowOp, x: &BitTensor, out: &mut [u64]) {
-    match op {
-        RowOp::Const(b) => out.fill(if *b { !0 } else { 0 }),
-        RowOp::Copy(c) => out.copy_from_slice(x.feature_words(*c as usize)),
-        RowOp::Not(c) => {
-            for (o, &v) in out.iter_mut().zip(x.feature_words(*c as usize)) {
-                *o = !v;
-            }
-        }
-        RowOp::And(srcs) => reduce(out, x, srcs, false, false),
-        RowOp::Nand(srcs) => reduce(out, x, srcs, false, true),
-        RowOp::Or(srcs) => reduce(out, x, srcs, true, false),
-        RowOp::Nor(srcs) => reduce(out, x, srcs, true, true),
-        RowOp::Xor { srcs, invert } => {
-            out.fill(if *invert { !0 } else { 0 });
-            for &c in srcs {
-                for (o, &v) in out.iter_mut().zip(x.feature_words(c as usize)) {
-                    *o ^= v;
+    /// Evaluate one op into `out` (its `W` words) from the planes before
+    /// its level.
+    fn eval(&self, op: Op, done: &[u64], w: usize, out: &mut [u64]) {
+        let plane = |c: u32| &done[c as usize * w..][..w];
+        match self.operands[op.lo as usize..op.hi as usize].split_first() {
+            None => out.fill(0),
+            Some((&first, rest)) => {
+                out.copy_from_slice(plane(first));
+                match op.fold {
+                    Fold::And => fold(out, rest, plane, |o, v| o & v),
+                    Fold::Or => fold(out, rest, plane, |o, v| o | v),
+                    Fold::Xor => fold(out, rest, plane, |o, v| o ^ v),
                 }
             }
         }
+        if op.negate {
+            out.iter_mut().for_each(|o| *o = !*o);
+        }
     }
 }
 
-fn reduce(out: &mut [u64], x: &BitTensor, srcs: &[u32], or: bool, negate: bool) {
-    out.copy_from_slice(x.feature_words(srcs[0] as usize));
-    for &c in &srcs[1..] {
-        let f = x.feature_words(c as usize);
-        if or {
-            for (o, &v) in out.iter_mut().zip(f) {
-                *o |= v;
-            }
-        } else {
-            for (o, &v) in out.iter_mut().zip(f) {
-                *o &= v;
-            }
-        }
-    }
-    if negate {
-        for o in out.iter_mut() {
-            *o = !*o;
+fn fold<'p>(
+    out: &mut [u64],
+    srcs: &[u32],
+    plane: impl Fn(u32) -> &'p [u64],
+    f: impl Fn(u64, u64) -> u64,
+) {
+    for &c in srcs {
+        for (o, &v) in out.iter_mut().zip(plane(c)) {
+            *o = f(*o, v);
         }
     }
 }

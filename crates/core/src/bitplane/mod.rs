@@ -9,10 +9,13 @@
 //! boundary separates a gate subset (unit weights are the common case, but
 //! the classifier is weight-aware and recovers gates from non-±1 rows
 //! too), XOR for 0/1-valued linear rows (a row that is always 0/1 equals
-//! its own parity). One `u64` AND advances 64 testbenches one gate.
+//! its own parity), and an identity neuron becomes nothing: it is
+//! resolved to the plane it names. One `u64` AND advances 64 testbenches
+//! one gate.
 //!
-//! Pipeline: [`BitplaneNn::from_compiled`] (legalize) → [`BitplaneNn::forward_with`]
-//! (execute, sharded on the shared worker pool) → [`BitplaneSimulator`]
+//! Pipeline: [`BitplaneNn::from_compiled`] (legalize to one flat op
+//! stream) → `BitplaneNn::forward` (execute over a plane file, one
+//! dispatch per level on the shared worker pool) → [`BitplaneSimulator`]
 //! (the cycle driver, state resident in planes, matching the CSR
 //! backend's `Simulator`). Pick it at the CLI with `--backend bitplane` /
 //! `--backend auto` — the `c2nn-hal` backend registry serves it through
@@ -34,7 +37,6 @@ mod pack;
 mod plan;
 mod sim;
 
-pub use exec::BitplaneScratch;
 pub use pack::BitTensor;
-pub use plan::{BitLayer, BitplaneError, BitplaneNn, OpCensus, RowOp};
+pub use plan::{BitplaneError, BitplaneNn, OpCensus};
 pub use sim::BitplaneSimulator;

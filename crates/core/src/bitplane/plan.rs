@@ -24,8 +24,11 @@
 //! two. A threshold row that is neither — the mixed-sign rows of a
 //! `layer-merge`d network, a hand-built majority — is refused with
 //! [`BitplaneError::NotAGate`] naming its layer and row; the CSR engines
-//! run such networks. The outcome is counted per op kind by
-//! [`BitplaneNn::op_census`].
+//! run such networks.
+//!
+//! Copy rows (one source, not inverted) compute nothing: each
+//! resolves to the plane its source resolved to, so the program keeps
+//! only computed ops, counted per kind by [`BitplaneNn::op_census`].
 
 use crate::compile::CompiledNn;
 use crate::layer::Activation2;
@@ -33,68 +36,55 @@ use crate::sim::StepShape;
 use c2nn_tensor::Scalar;
 use std::fmt;
 
-/// One output plane of a bit-plane layer.
+/// The word op one neuron row lowers to: fold the source planes with
+/// `fold`, then invert if `negate`. No source is a constant, one source a
+/// copy (resolved away at lowering) or an inverter, whatever the fold.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RowOp {
-    /// The row is constant regardless of input.
-    Const(bool),
-    /// The row copies one input plane.
-    Copy(u32),
-    /// The row negates one input plane.
-    Not(u32),
-    /// AND of the fan-in planes (unit weights, bias `1-n`).
-    And(Vec<u32>),
-    /// NAND of the fan-in planes (weights `-1`, bias `n`).
-    Nand(Vec<u32>),
-    /// OR of the fan-in planes (unit weights, bias `0`).
-    Or(Vec<u32>),
-    /// NOR of the fan-in planes (weights `-1`, bias `1`).
-    Nor(Vec<u32>),
-    /// XOR of the odd-weight fan-in planes of a linear row, optionally
-    /// inverted by an odd bias.
-    Xor {
-        /// Fan-in columns with odd coefficients.
-        srcs: Vec<u32>,
-        /// Whether the bias is odd.
-        invert: bool,
-    },
+pub(crate) struct RowOp {
+    /// How the source planes combine.
+    pub(crate) fold: Fold,
+    /// Whether the folded value is inverted.
+    pub(crate) negate: bool,
+    /// Source columns (for a linear row, those with odd coefficients).
+    pub(crate) srcs: Vec<u32>,
 }
 
-impl RowOp {
-    /// Modeled cost of evaluating this op for one output *word* (64
-    /// lanes), in machine word operations: one op per fan-in plane plus
-    /// the store. The backend HAL sums these into its capabilities
-    /// manifest.
-    pub fn modeled_word_ops(&self) -> u64 {
-        match self {
-            RowOp::Const(_) | RowOp::Copy(_) | RowOp::Not(_) => 1,
-            RowOp::And(srcs)
-            | RowOp::Nand(srcs)
-            | RowOp::Or(srcs)
-            | RowOp::Nor(srcs)
-            | RowOp::Xor { srcs, .. } => srcs.len() as u64 + 1,
-        }
-    }
+/// How an op combines its source planes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Fold {
+    /// AND (NAND negated): a threshold row over one weight sign.
+    And,
+    /// OR (NOR negated): a threshold row over one weight sign.
+    Or,
+    /// Parity: a 0/1-valued linear row, or a constant.
+    Xor,
 }
 
-/// One layer of the bit-plane program.
-#[derive(Clone, Debug)]
-pub struct BitLayer {
-    /// Planes the layer reads.
-    pub in_width: usize,
-    /// One op per output plane.
-    pub ops: Vec<RowOp>,
+/// One computed plane of the flat program: a [`RowOp`] whose source
+/// planes are `operands[lo..hi]`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Op {
+    pub(crate) fold: Fold,
+    pub(crate) negate: bool,
+    pub(crate) lo: u32,
+    pub(crate) hi: u32,
 }
 
 /// A compiled network legalized to bit-plane form. Built from a
 /// [`CompiledNn`] by [`BitplaneNn::from_compiled`]; shares its port order
 /// and state layout, so the two backends are drop-in interchangeable.
+///
+/// The program is flat. Plane ids name the rows of one plane file: the
+/// primary inputs and state first, then every computed op in level order
+/// (a level is a source layer), so each level writes one contiguous range
+/// and reads only planes before it. Identity rows compute nothing: each
+/// one is resolved at lowering to the plane it names, through any number
+/// of layers, and `gather` names the plane behind every primary output
+/// and next-state bit.
 #[derive(Clone, Debug)]
 pub struct BitplaneNn {
     /// Model name (copied from the source network).
     pub name: String,
-    /// The layer programs, input to output.
-    pub layers: Vec<BitLayer>,
     /// Primary input count.
     pub num_primary_inputs: usize,
     /// Primary output count.
@@ -105,6 +95,16 @@ pub struct BitplaneNn {
     pub gate_count: usize,
     /// The `L` used for compilation.
     pub lut_size: usize,
+    /// Layers of the source network.
+    depth: usize,
+    /// One op per computed plane, in plane order.
+    pub(crate) ops: Vec<Op>,
+    /// Operand plane ids of every op, back to back.
+    pub(crate) operands: Vec<u32>,
+    /// One past the last plane of each non-empty level.
+    pub(crate) level_ends: Vec<u32>,
+    /// The plane behind each primary output, then each next-state bit.
+    pub(crate) gather: Vec<u32>,
 }
 
 /// Why a network could not be legalized to bit-plane form.
@@ -151,12 +151,12 @@ impl fmt::Display for BitplaneError {
 
 impl std::error::Error for BitplaneError {}
 
-/// Per-kind op counts of a bit-plane program (reported by `c2nn compile
-/// --stats` and the benchmark).
+/// Per-kind counts of a bit-plane program's computed ops (reported by
+/// `c2nn compile --stats` and the benchmark). Copies are resolved away at
+/// lowering, so they are not ops.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpCensus {
     pub consts: usize,
-    pub copies: usize,
     pub nots: usize,
     pub ands: usize,
     pub nands: usize,
@@ -172,14 +172,7 @@ pub struct OpCensus {
 impl OpCensus {
     /// Total op count.
     pub fn total(&self) -> usize {
-        self.consts
-            + self.copies
-            + self.nots
-            + self.ands
-            + self.nands
-            + self.ors
-            + self.nors
-            + self.xors
+        self.consts + self.nots + self.ands + self.nands + self.ors + self.nors + self.xors
     }
 }
 
@@ -188,10 +181,14 @@ impl BitplaneNn {
     /// must be a gate and every weight integral, or the typed error names
     /// the first row that is not.
     pub fn from_compiled<T: Scalar>(nn: &CompiledNn<T>) -> Result<Self, BitplaneError> {
-        let mut layers = Vec::with_capacity(nn.layers.len());
+        let in_width = nn.num_primary_inputs + nn.state_init.len();
+        // the plane behind each column the current layer reads
+        let mut planes: Vec<u32> = (0..in_width as u32).collect();
+        let mut next = Vec::new();
+        let (mut ops, mut operands, mut level_ends) = (Vec::new(), Vec::new(), Vec::new());
+        let mut row: Vec<(u32, i64)> = Vec::new();
         for (li, layer) in nn.layers.iter().enumerate() {
-            let mut ops = Vec::with_capacity(layer.weights.rows());
-            let mut row: Vec<(u32, i64)> = Vec::new();
+            next.clear();
             for r in 0..layer.weights.rows() {
                 row.clear();
                 for (c, v) in layer.weights.row(r) {
@@ -203,32 +200,51 @@ impl BitplaneNn {
                 let bias = exact_i64(layer.bias[r], li, r)?;
                 let op = classify(&row, bias, layer.activation)
                     .ok_or(BitplaneError::NotAGate { layer: li, row: r })?;
-                ops.push(op);
+                if let ([c], false) = (op.srcs.as_slice(), op.negate) {
+                    // a copy computes nothing: the row is its source's plane
+                    next.push(planes[*c as usize]);
+                    continue;
+                }
+                let lo = operands.len() as u32;
+                operands.extend(op.srcs.iter().map(|&c| planes[c as usize]));
+                let (fold, negate, hi) = (op.fold, op.negate, operands.len() as u32);
+                next.push((in_width + ops.len()) as u32);
+                ops.push(Op {
+                    fold,
+                    negate,
+                    lo,
+                    hi,
+                });
             }
-            layers.push(BitLayer {
-                in_width: layer.weights.cols(),
-                ops,
-            });
+            let end = (in_width + ops.len()) as u32;
+            if end > level_ends.last().copied().unwrap_or(in_width as u32) {
+                level_ends.push(end);
+            }
+            std::mem::swap(&mut planes, &mut next);
         }
         Ok(BitplaneNn {
             name: nn.name.clone(),
-            layers,
             num_primary_inputs: nn.num_primary_inputs,
             num_primary_outputs: nn.num_primary_outputs,
             state_init: nn.state_init.clone(),
             gate_count: nn.gate_count,
             lut_size: nn.lut_size,
+            depth: nn.layers.len(),
+            ops,
+            operands,
+            level_ends,
+            gather: planes,
         })
     }
 
-    /// Planes the first layer reads (primary inputs followed by state).
+    /// Planes the program reads each cycle (primary inputs, then state).
     pub fn in_width(&self) -> usize {
-        self.layers.first().map_or(0, |l| l.in_width)
+        self.num_primary_inputs + self.state_bits()
     }
 
-    /// Planes the last layer writes (primary outputs followed by state).
-    pub fn out_width(&self) -> usize {
-        self.layers.last().map_or(0, |l| l.ops.len())
+    /// Planes in the plane file: inputs and state, then every computed op.
+    pub fn planes(&self) -> usize {
+        self.in_width() + self.ops.len()
     }
 
     /// Flip-flop count.
@@ -236,9 +252,15 @@ impl BitplaneNn {
         self.state_init.len()
     }
 
-    /// Layer count.
+    /// Layer count of the source network.
     pub fn num_layers(&self) -> usize {
-        self.layers.len()
+        self.depth
+    }
+
+    /// Levels that compute at least one plane: one dispatch each per
+    /// cycle. Zero when every row was a copy.
+    pub fn levels(&self) -> usize {
+        self.level_ends.len()
     }
 
     /// Port widths and depth, as the stepping engine sees them (identical
@@ -248,33 +270,32 @@ impl BitplaneNn {
             inputs: self.num_primary_inputs,
             outputs: self.num_primary_outputs,
             state: self.state_bits(),
-            layers: self.layers.len(),
+            layers: self.depth,
         }
     }
 
-    /// Summed modeled word-op cost per output word: the work the backend
-    /// HAL prices per 64 lanes.
+    /// Modeled word ops per 64 lanes per cycle: fan-in + 1 per computed
+    /// op, plus one per gathered plane. Never zero for a network with an
+    /// output or a flip-flop, so no lane rate is predicted infinite.
     pub fn modeled_word_ops(&self) -> u64 {
-        let ops = self.layers.iter().flat_map(|l| &l.ops);
-        ops.map(RowOp::modeled_word_ops).sum()
+        let ops: u64 = self.ops.iter().map(|op| (op.hi - op.lo) as u64 + 1).sum();
+        ops + self.gather.len() as u64
     }
 
-    /// Count ops by kind across all layers.
+    /// Count computed ops by kind.
     pub fn op_census(&self) -> OpCensus {
         let mut c = OpCensus::default();
-        for layer in &self.layers {
-            for op in &layer.ops {
-                match op {
-                    RowOp::Const(_) => c.consts += 1,
-                    RowOp::Copy(_) => c.copies += 1,
-                    RowOp::Not(_) => c.nots += 1,
-                    RowOp::And(_) => c.ands += 1,
-                    RowOp::Nand(_) => c.nands += 1,
-                    RowOp::Or(_) => c.ors += 1,
-                    RowOp::Nor(_) => c.nors += 1,
-                    RowOp::Xor { .. } => c.xors += 1,
-                }
-            }
+        for op in &self.ops {
+            let slot = match (op.hi - op.lo, op.fold, op.negate) {
+                (0, ..) => &mut c.consts,
+                (1, ..) => &mut c.nots,
+                (_, Fold::And, false) => &mut c.ands,
+                (_, Fold::And, true) => &mut c.nands,
+                (_, Fold::Or, false) => &mut c.ors,
+                (_, Fold::Or, true) => &mut c.nors,
+                (_, Fold::Xor, _) => &mut c.xors,
+            };
+            *slot += 1;
         }
         c
     }
@@ -298,30 +319,18 @@ fn exact_i64<T: Scalar>(v: T, layer: usize, row: usize) -> Result<i64, BitplaneE
 /// The exact word op for one canonical row, or `None` when a threshold
 /// row has no gate form.
 fn classify(weights: &[(u32, i64)], bias: i64, act: Activation2) -> Option<RowOp> {
+    let row = |fold, negate, srcs| Some(RowOp { fold, negate, srcs });
     match act {
         Activation2::Linear => {
             // 0/1-valued linear rows equal their own parity
-            let srcs: Vec<u32> = weights
-                .iter()
-                .filter(|&&(_, w)| w & 1 != 0)
-                .map(|&(c, _)| c)
-                .collect();
-            let invert = bias & 1 != 0;
-            Some(match (srcs.len(), invert) {
-                (0, b) => RowOp::Const(b),
-                (1, false) => RowOp::Copy(srcs[0]),
-                (1, true) => RowOp::Not(srcs[0]),
-                _ => RowOp::Xor { srcs, invert },
-            })
+            let odd = weights.iter().filter(|&&(_, w)| w & 1 != 0);
+            row(Fold::Xor, bias & 1 != 0, odd.map(|&(c, _)| c).collect())
         }
         Activation2::Threshold => {
             let min_pre: i64 = weights.iter().map(|&(_, w)| w.min(0)).sum::<i64>() + bias;
             let max_pre: i64 = weights.iter().map(|&(_, w)| w.max(0)).sum::<i64>() + bias;
-            if min_pre > 0 {
-                return Some(RowOp::Const(true));
-            }
-            if max_pre <= 0 {
-                return Some(RowOp::Const(false));
+            if min_pre > 0 || max_pre <= 0 {
+                return row(Fold::Xor, min_pre > 0, Vec::new());
             }
             // non-constant, so weights is non-empty from here on
             gate_op(weights, bias)
@@ -341,37 +350,26 @@ fn classify(weights: &[(u32, i64)], bias: i64, act: Activation2) -> Option<RowOp
 ///   `bias − mᵢ ≤ 0` for every `i`; NAND iff `bias − Σm ≤ 0` and
 ///   `bias − (Σm − mᵢ) > 0` for every `i`.
 ///
-/// Single-source gates normalize to copy/inverter. Mixed-sign rows have
+/// A single-source gate is a copy or an inverter. Mixed-sign rows have
 /// no plain-gate form over these ops and return `None`.
 fn gate_op(weights: &[(u32, i64)], bias: i64) -> Option<RowOp> {
-    let srcs = || weights.iter().map(|&(c, _)| c).collect::<Vec<u32>>();
+    let srcs = weights.iter().map(|&(c, _)| c).collect();
+    let row = |fold, negate| Some(RowOp { fold, negate, srcs });
     if weights.iter().all(|&(_, w)| w > 0) {
         let sum: i64 = weights.iter().map(|&(_, w)| w).sum();
         if bias <= 0 && weights.iter().all(|&(_, w)| w + bias > 0) {
-            return Some(match weights {
-                [(c, _)] => RowOp::Copy(*c),
-                _ => RowOp::Or(srcs()),
-            });
+            return row(Fold::Or, false);
         }
         if sum + bias > 0 && weights.iter().all(|&(_, w)| sum - w + bias <= 0) {
-            return Some(match weights {
-                [(c, _)] => RowOp::Copy(*c),
-                _ => RowOp::And(srcs()),
-            });
+            return row(Fold::And, false);
         }
     } else if weights.iter().all(|&(_, w)| w < 0) {
         let sum: i64 = weights.iter().map(|&(_, w)| -w).sum();
         if bias > 0 && weights.iter().all(|&(_, w)| bias + w <= 0) {
-            return Some(match weights {
-                [(c, _)] => RowOp::Not(*c),
-                _ => RowOp::Nor(srcs()),
-            });
+            return row(Fold::Or, true);
         }
         if bias - sum <= 0 && weights.iter().all(|&(_, w)| bias - sum - w > 0) {
-            return Some(match weights {
-                [(c, _)] => RowOp::Not(*c),
-                _ => RowOp::Nand(srcs()),
-            });
+            return row(Fold::And, true);
         }
     }
     None
@@ -381,45 +379,50 @@ fn gate_op(weights: &[(u32, i64)], bias: i64) -> Option<RowOp> {
 mod tests {
     use super::*;
 
+    /// `Some` op with these sources.
+    fn op(fold: Fold, negate: bool, srcs: &[u32]) -> Option<RowOp> {
+        let srcs = srcs.to_vec();
+        Some(RowOp { fold, negate, srcs })
+    }
+
     #[test]
     fn gate_rows_classify_to_gates() {
+        use Fold::*;
         let t = |w: &[(u32, i64)], b| classify(w, b, Activation2::Threshold);
         // and2: x0 + x1 - 1 > 0
-        assert_eq!(t(&[(0, 1), (1, 1)], -1), Some(RowOp::And(vec![0, 1])));
+        assert_eq!(t(&[(0, 1), (1, 1)], -1), op(And, false, &[0, 1]));
         // or3
-        assert_eq!(
-            t(&[(0, 1), (1, 1), (2, 1)], 0),
-            Some(RowOp::Or(vec![0, 1, 2]))
-        );
+        assert_eq!(t(&[(0, 1), (1, 1), (2, 1)], 0), op(Or, false, &[0, 1, 2]));
         // nor2: -x0 - x1 + 1 > 0
-        assert_eq!(t(&[(0, -1), (1, -1)], 1), Some(RowOp::Nor(vec![0, 1])));
+        assert_eq!(t(&[(0, -1), (1, -1)], 1), op(Or, true, &[0, 1]));
         // nand2: -x0 - x1 + 2 > 0
-        assert_eq!(t(&[(0, -1), (1, -1)], 2), Some(RowOp::Nand(vec![0, 1])));
-        // buffer and inverter
-        assert_eq!(t(&[(3, 1)], 0), Some(RowOp::Copy(3)));
-        assert_eq!(t(&[(3, -1)], 1), Some(RowOp::Not(3)));
+        assert_eq!(t(&[(0, -1), (1, -1)], 2), op(And, true, &[0, 1]));
+        // buffer (a copy) and inverter
+        assert_eq!(t(&[(3, 1)], 0), op(Or, false, &[3]));
+        assert_eq!(t(&[(3, -1)], 1), op(Or, true, &[3]));
         // constants by range
-        assert_eq!(t(&[(0, 1)], 1), Some(RowOp::Const(true)));
-        assert_eq!(t(&[(0, 1)], -1), Some(RowOp::Const(false)));
-        assert_eq!(t(&[], 5), Some(RowOp::Const(true)));
+        assert_eq!(t(&[(0, 1)], 1), op(Xor, true, &[]));
+        assert_eq!(t(&[(0, 1)], -1), op(Xor, false, &[]));
+        assert_eq!(t(&[], 5), op(Xor, true, &[]));
         // a majority gate has no gate form
         assert_eq!(t(&[(0, 1), (1, 1), (2, 1)], -1), None);
     }
 
     #[test]
     fn weight_aware_rows_classify_to_gates() {
+        use Fold::*;
         let t = |w: &[(u32, i64)], b| classify(w, b, Activation2::Threshold);
         // or-like with uneven magnitudes: any lone input clears the bias
-        assert_eq!(t(&[(0, 3), (1, 5)], -2), Some(RowOp::Or(vec![0, 1])));
+        assert_eq!(t(&[(0, 3), (1, 5)], -2), op(Or, false, &[0, 1]));
         // and-like: only the full set clears the bias (3+5-6 > 0, but
         // dropping either input goes non-positive)
-        assert_eq!(t(&[(0, 3), (1, 5)], -6), Some(RowOp::And(vec![0, 1])));
-        // single non-unit source normalizes to copy / inverter
-        assert_eq!(t(&[(7, 3)], -2), Some(RowOp::Copy(7)));
-        assert_eq!(t(&[(7, -3)], 2), Some(RowOp::Not(7)));
+        assert_eq!(t(&[(0, 3), (1, 5)], -6), op(And, false, &[0, 1]));
+        // single non-unit source: copy / inverter
+        assert_eq!(t(&[(7, 3)], -2), op(Or, false, &[7]));
+        assert_eq!(t(&[(7, -3)], 2), op(Or, true, &[7]));
         // negative duals with uneven magnitudes
-        assert_eq!(t(&[(0, -2), (1, -4)], 2), Some(RowOp::Nor(vec![0, 1])));
-        assert_eq!(t(&[(0, -2), (1, -4)], 5), Some(RowOp::Nand(vec![0, 1])));
+        assert_eq!(t(&[(0, -2), (1, -4)], 2), op(Or, true, &[0, 1]));
+        assert_eq!(t(&[(0, -2), (1, -4)], 5), op(And, true, &[0, 1]));
         // a row whose boundary separates no gate subset is refused:
         // 3·x0 + 5·x1 − 4 > 0 fires on {x1} and {x0,x1} but not {x0} —
         // neither OR nor AND
@@ -465,20 +468,16 @@ mod tests {
         assert!(gates > 0);
     }
 
-    /// Scalar reference evaluation of one RowOp (test-only).
+    /// Scalar reference evaluation of one RowOp (test-only): no source
+    /// folds to 0, as in the engine.
     fn eval_row(op: &RowOp, bit: &dyn Fn(u32) -> bool) -> bool {
-        match op {
-            RowOp::Const(b) => *b,
-            RowOp::Copy(c) => bit(*c),
-            RowOp::Not(c) => !bit(*c),
-            RowOp::And(s) => s.iter().all(|&c| bit(c)),
-            RowOp::Nand(s) => !s.iter().all(|&c| bit(c)),
-            RowOp::Or(s) => s.iter().any(|&c| bit(c)),
-            RowOp::Nor(s) => !s.iter().any(|&c| bit(c)),
-            RowOp::Xor { srcs, invert } => {
-                (srcs.iter().filter(|&&c| bit(c)).count() % 2 == 1) != *invert
-            }
-        }
+        let mut v = op.srcs.iter().map(|&c| bit(c));
+        let folded = match op.fold {
+            Fold::And => !op.srcs.is_empty() && v.all(|b| b),
+            Fold::Or => v.any(|b| b),
+            Fold::Xor => v.filter(|&b| b).count() % 2 == 1,
+        };
+        folded != op.negate
     }
 
     /// One threshold layer over two inputs from `(weights, bias)` rows.
@@ -516,8 +515,8 @@ mod tests {
         let census = plan.op_census();
         assert_eq!((census.ands, census.ors, census.weighted), (1, 1, 0));
         assert_eq!(census.total(), 2);
-        // (2 fan-in + 1) word ops per gate
-        assert_eq!(plan.modeled_word_ops(), 6);
+        // (2 fan-in + 1) word ops per gate, one per gathered output
+        assert_eq!(plan.modeled_word_ops(), 2 * 3 + 2);
 
         rows.push((vec![(0, 3.0), (1, 5.0)], -4.0)); // no gate form
         let err = BitplaneNn::from_compiled(&threshold_net(&rows)).unwrap_err();
@@ -527,17 +526,12 @@ mod tests {
 
     #[test]
     fn linear_rows_classify_to_parity() {
+        use Fold::Xor;
         let l = |w: &[(u32, i64)], b| classify(w, b, Activation2::Linear);
-        assert_eq!(
-            l(&[(0, 1), (1, -1), (2, 2)], 0),
-            Some(RowOp::Xor {
-                srcs: vec![0, 1],
-                invert: false
-            })
-        );
-        assert_eq!(l(&[(4, 1)], 0), Some(RowOp::Copy(4)));
-        assert_eq!(l(&[(4, -1)], 1), Some(RowOp::Not(4)));
-        assert_eq!(l(&[(4, 2)], 1), Some(RowOp::Const(true)));
-        assert_eq!(l(&[], 0), Some(RowOp::Const(false)));
+        assert_eq!(l(&[(0, 1), (1, -1), (2, 2)], 0), op(Xor, false, &[0, 1]));
+        assert_eq!(l(&[(4, 1)], 0), op(Xor, false, &[4]));
+        assert_eq!(l(&[(4, -1)], 1), op(Xor, true, &[4]));
+        assert_eq!(l(&[(4, 2)], 1), op(Xor, true, &[]));
+        assert_eq!(l(&[], 0), op(Xor, false, &[]));
     }
 }

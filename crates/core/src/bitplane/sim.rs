@@ -2,7 +2,6 @@
 //! path's [`Simulator`](crate::Simulator): a fixed set of lanes whose
 //! recurrent state stays packed and resident between cycles.
 
-use super::exec::BitplaneScratch;
 use super::pack::BitTensor;
 use super::plan::BitplaneNn;
 use crate::sim::{SimError, StepShape};
@@ -18,8 +17,8 @@ pub struct BitplaneSimulator<'a> {
     batch: usize,
     cycles: u64,
     device: Device,
-    xbuf: BitTensor,
-    scratch: BitplaneScratch,
+    /// Every plane of one cycle (see [`BitplaneNn::forward`]).
+    planes: Vec<u64>,
 }
 
 impl<'a> BitplaneSimulator<'a> {
@@ -31,8 +30,7 @@ impl<'a> BitplaneSimulator<'a> {
             batch,
             cycles: 0,
             device,
-            xbuf: BitTensor::zeros(0, 0),
-            scratch: BitplaneScratch::default(),
+            planes: Vec::new(),
         };
         sim.reset(batch);
         sim
@@ -104,27 +102,35 @@ impl<'a> BitplaneSimulator<'a> {
     ) -> Result<(), SimError> {
         self.shape()
             .check_inputs(self.batch, inputs.batch(), [inputs.features()])?;
-        let pi = self.nn.num_primary_inputs;
-        let po = self.nn.num_primary_outputs;
-        // x = [inputs ; state], whole planes at a time
-        self.xbuf.resize_to(pi + self.nn.state_bits(), self.batch);
-        let w = self.xbuf.words_per_feature();
-        let (x_in, x_state) = self.xbuf.data_mut().split_at_mut(pi * w);
-        x_in.copy_from_slice(inputs.data());
-        x_state.copy_from_slice(self.state.data());
-        let y = self
-            .nn
-            .forward_with(&self.xbuf, self.device, &mut self.scratch);
-        debug_assert_eq!(y.features(), po + self.nn.state_bits());
-        // y = [outputs ; next state]
-        let (y_out, y_state) = y.data().split_at(po * w);
+        let nn = self.nn;
+        let (pi, po) = (nn.num_primary_inputs, nn.num_primary_outputs);
+        let w = self.state.words_per_feature();
+        let len = nn.planes() * w;
+        if self.planes.len() < len {
+            // fresh zeroed pages, not a zeroing pass: every plane is
+            // written before it is read
+            self.planes = vec![0; len];
+        }
+        let planes = &mut self.planes[..len];
+        // the file's head is [inputs ; state], whole planes at a time
+        planes[..pi * w].copy_from_slice(inputs.data());
+        planes[pi * w..nn.in_width() * w].copy_from_slice(self.state.data());
+        nn.forward(planes, w, self.device);
         out.resize_to(po, self.batch);
-        out.data_mut().copy_from_slice(y_out);
+        gather(out.data_mut(), planes, &nn.gather[..po], w);
         // inverting ops and power-on planes set bits past `batch`; they
         // must not leave the engine
         out.mask_tails();
-        self.state.data_mut().copy_from_slice(y_state);
+        // never in place: one flip-flop's next state is another's current
+        gather(self.state.data_mut(), planes, &nn.gather[po..], w);
         self.cycles += 1;
         Ok(())
+    }
+}
+
+/// Copy plane `ids[i]` of `planes` into plane `i` of `dst` (`w` words each).
+fn gather(dst: &mut [u64], planes: &[u64], ids: &[u32], w: usize) {
+    for (i, &p) in ids.iter().enumerate() {
+        dst[i * w..][..w].copy_from_slice(&planes[p as usize * w..][..w]);
     }
 }

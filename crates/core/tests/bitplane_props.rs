@@ -5,8 +5,16 @@
 //! lane. The block transposes (`gather_rows` / `scatter_rows`, and
 //! `transpose` over them) and the scalar conversions are held to the same
 //! per-bit reference.
+//!
+//! The flat program `BitplaneNn::from_compiled` lowers to — identity rows
+//! resolved to the planes they name — is held to a layer-by-layer integer
+//! evaluation of random small networks: copy chains across layers, outputs
+//! aliasing one plane, next state permuting state, constants, inverters,
+//! and levels that resolution leaves empty.
 
-use c2nn_core::bitplane::BitTensor;
+use c2nn_core::bitplane::{BitTensor, BitplaneNn, BitplaneSimulator};
+use c2nn_core::{Activation2, CompiledNn, NnLayer};
+use c2nn_tensor::{Csr, Device};
 use proptest::prelude::*;
 
 /// Derive lane bit vectors from a flat bool pool so shrinking stays
@@ -209,4 +217,235 @@ fn short_rows_gather_as_zero_and_scatter_nowhere() {
     let mut back = vec![vec![0; 2], Vec::new(), vec![0]];
     t.scatter_rows(&mut back, |r| r);
     assert_eq!(back, rows);
+}
+
+/// Deterministic generator for the random networks below.
+struct Gen(u64);
+
+impl Gen {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n.max(1) as u64) as usize
+    }
+
+    /// `k` distinct columns below `m`.
+    fn distinct(&mut self, m: usize, k: usize) -> Vec<u32> {
+        let mut cols: Vec<u32> = (0..m as u32).collect();
+        for i in 0..k {
+            let j = i + self.below(m - i);
+            cols.swap(i, j);
+        }
+        cols.truncate(k);
+        cols
+    }
+}
+
+/// One row: `(column, weight)` pairs and a bias.
+type Row = (Vec<(u32, i64)>, i64);
+
+fn copy(c: u32) -> Row {
+    (vec![(c, 1)], 0)
+}
+
+/// A random legal network over `pi` inputs and `sb` state bits with `po ≥ 2`
+/// outputs, `depth` layers, and the number of rows that are not copies.
+/// Every row is a copy, inverter, constant, gate (threshold layers) or a
+/// parity whose value is 0/1 (linear layers: `a + b − 2·(a∧b)` over a
+/// copy/copy/AND triple of the layer before). The first `sb` rows of each
+/// hidden layer carry the state forward by copies; some layers are all
+/// copies, and outputs 0 and 1 copy one column.
+fn random_net(
+    g: &mut Gen,
+    pi: usize,
+    sb: usize,
+    po: usize,
+    depth: usize,
+    permute: bool,
+) -> (CompiledNn<f32>, usize) {
+    let mut width = pi + sb;
+    let mut carry: Vec<u32> = (pi as u32..width as u32).collect();
+    let mut triples: Vec<[u32; 3]> = Vec::new();
+    let (mut layers, mut computed) = (Vec::new(), 0);
+    for k in 0..depth {
+        let last = k + 1 == depth;
+        let activation = if g.below(2) == 0 {
+            Activation2::Threshold
+        } else {
+            Activation2::Linear
+        };
+        let all_copies = g.below(4) == 0 && width > 0;
+        let mut rows: Vec<Row> = Vec::new();
+        let mut next_triples = Vec::new();
+        let random_row = |g: &mut Gen, computed: &mut usize| -> Row {
+            if all_copies {
+                return copy(g.below(width) as u32);
+            }
+            let kind = if width == 0 { 2 } else { g.below(5) };
+            let row = match (kind, activation) {
+                (0, _) => return copy(g.below(width) as u32),
+                (1, _) => (vec![(g.below(width) as u32, -1)], 1),
+                (2, _) => (vec![], g.below(2) as i64),
+                (_, Activation2::Linear) if !triples.is_empty() => {
+                    let [a, b, c] = triples[g.below(triples.len())];
+                    match g.below(2) {
+                        0 => (vec![(a, 1), (b, 1), (c, -2)], 0),
+                        _ => (vec![(a, -1), (b, -1), (c, 2)], 1),
+                    }
+                }
+                (_, Activation2::Linear) => return copy(g.below(width) as u32),
+                (_, Activation2::Threshold) if width < 2 => (vec![(0, -1)], 1),
+                (_, Activation2::Threshold) => {
+                    let n = 2 + g.below(width.min(4) - 1);
+                    let srcs = g.distinct(width, n);
+                    let n = n as i64;
+                    let (w, bias) = [(1, 1 - n), (1, 0), (-1, n), (-1, 1)][g.below(4)];
+                    (srcs.into_iter().map(|c| (c, w)).collect(), bias)
+                }
+            };
+            *computed += 1;
+            row
+        };
+        if last {
+            let alias = if width == 0 {
+                None
+            } else {
+                Some(g.below(width) as u32)
+            };
+            for r in 0..po {
+                rows.push(match alias {
+                    Some(c) if r < 2 => copy(c),
+                    _ => random_row(g, &mut computed),
+                });
+            }
+            let perm = g.distinct(sb, sb);
+            for &p in &perm {
+                rows.push(if permute {
+                    copy(carry[p as usize])
+                } else {
+                    random_row(g, &mut computed)
+                });
+            }
+        } else {
+            rows.extend(carry.iter().map(|&c| copy(c)));
+            if activation == Activation2::Threshold && !all_copies && width >= 2 {
+                for _ in 0..g.below(3) {
+                    let pq = g.distinct(width, 2);
+                    let at = rows.len() as u32;
+                    rows.extend([copy(pq[0]), copy(pq[1])]);
+                    rows.push((vec![(pq[0], 1), (pq[1], 1)], -1));
+                    computed += 1;
+                    next_triples.push([at, at + 1, at + 2]);
+                }
+            }
+            let extra = if g.below(4) == 0 { 300 } else { 1 + g.below(8) };
+            for _ in 0..extra {
+                rows.push(random_row(g, &mut computed));
+            }
+        }
+        let mut triplets = Vec::new();
+        for (r, (ws, _)) in rows.iter().enumerate() {
+            triplets.extend(ws.iter().map(|&(c, w)| (r as u32, c, w as f32)));
+        }
+        layers.push(NnLayer {
+            weights: Csr::from_triplets(rows.len(), width, triplets),
+            bias: rows.iter().map(|&(_, b)| b as f32).collect(),
+            activation,
+        });
+        width = rows.len();
+        carry = (0..sb as u32).collect();
+        triples = next_triples;
+    }
+    let nn = CompiledNn {
+        name: "random".into(),
+        layers,
+        num_primary_inputs: pi,
+        num_primary_outputs: po,
+        state_init: (0..sb).map(|_| g.below(2) == 1).collect(),
+        gate_count: computed,
+        lut_size: 2,
+    };
+    (nn, computed)
+}
+
+/// One forward pass per lane, layer by layer in exact integers: threshold
+/// rows fire on a positive sum, linear rows must already be 0/1.
+fn reference(nn: &CompiledNn<f32>, x: &[bool]) -> Vec<bool> {
+    let mut v = x.to_vec();
+    for layer in &nn.layers {
+        v = (0..layer.weights.rows())
+            .map(|r| {
+                let sum: i64 = layer
+                    .weights
+                    .row(r)
+                    .map(|(c, w)| w as i64 * v[c as usize] as i64)
+                    .sum();
+                let pre = sum + layer.bias[r] as i64;
+                match layer.activation {
+                    Activation2::Threshold => pre > 0,
+                    Activation2::Linear => {
+                        assert!(pre == 0 || pre == 1, "linear row {r} left 0/1: {pre}");
+                        pre == 1
+                    }
+                }
+            })
+            .collect();
+    }
+    v
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// The flat program equals the layered network bit for bit over a few
+    /// cycles at lane counts around word boundaries, serial and parallel
+    /// alike, and keeps exactly the rows that are not copies.
+    #[test]
+    fn resolved_program_matches_layered_evaluation(
+        seed in any::<u64>(),
+        pi in 0usize..4,
+        sb in 0usize..5,
+        po in 2usize..5,
+        depth in 1usize..6,
+        permute in any::<bool>(),
+    ) {
+        let mut g = Gen(seed);
+        let (nn, computed) = random_net(&mut g, pi, sb, po, depth, permute);
+        let plan = BitplaneNn::from_compiled(&nn).unwrap();
+        prop_assert_eq!(plan.op_census().total(), computed);
+        prop_assert_eq!(plan.num_layers(), depth);
+        prop_assert!(plan.levels() <= depth);
+        if computed == 0 {
+            prop_assert_eq!(plan.levels(), 0);
+        }
+        prop_assert!(plan.modeled_word_ops() > 0);
+        for lanes in [1usize, 63, 64, 65, 130] {
+            let mut state = vec![nn.state_init.clone(); lanes];
+            let mut serial = BitplaneSimulator::new(&plan, lanes, Device::Serial);
+            let mut parallel = BitplaneSimulator::new(&plan, lanes, Device::Parallel);
+            let (mut out_s, mut out_p) = (BitTensor::zeros(0, 0), BitTensor::zeros(0, 0));
+            for cycle in 0..3 {
+                let inputs: Vec<Vec<bool>> =
+                    (0..lanes).map(|_| (0..pi).map(|_| g.below(2) == 1).collect()).collect();
+                let mut want = Vec::with_capacity(lanes);
+                for (lane, st) in inputs.iter().zip(&mut state) {
+                    let y = reference(&nn, &[lane.as_slice(), st.as_slice()].concat());
+                    *st = y[po..].to_vec();
+                    want.push(y[..po].to_vec());
+                }
+                let x = BitTensor::from_lanes(&inputs);
+                serial.step_packed_into(&x, &mut out_s).unwrap();
+                parallel.step_packed_into(&x, &mut out_p).unwrap();
+                prop_assert_eq!(out_s.to_lanes(), want, "lanes {} cycle {}", lanes, cycle);
+                prop_assert_eq!(&out_s, &out_p, "serial vs parallel, lanes {}", lanes);
+                let mut planes = BitTensor::zeros(0, 0);
+                serial.read_state(&mut planes);
+                prop_assert_eq!(planes.to_lanes(), state.clone(), "state, lanes {}", lanes);
+                parallel.read_state(&mut planes);
+                prop_assert_eq!(planes.to_lanes(), state.clone());
+            }
+        }
+    }
 }

@@ -56,8 +56,9 @@ impl std::error::Error for Reject {}
 /// ```
 ///
 /// CSR backends report one lane per "word" and `units` = nnz (one MAC per
-/// nonzero per lane); the bit-plane backend reports 64 lanes per word and
-/// its modeled word-ops.
+/// nonzero per lane); the bit-plane backend reports 64 lanes per word, its
+/// non-empty levels as `layers` and its flat program's modeled word-ops
+/// (fan-in + 1 per computed op, plus one per gathered plane).
 #[derive(Clone, Debug, PartialEq)]
 pub struct Manifest {
     /// Backend that produced this plan.
@@ -65,9 +66,12 @@ pub struct Manifest {
     /// Stimulus lanes advanced per unit of work (1 for scalar lanes, 64
     /// for packed bitplanes).
     pub lanes_per_word: u64,
-    /// Layers per simulated cycle (each is one dispatch).
+    /// Dispatches per simulated cycle: CSR layers, or the bit-plane
+    /// program's non-empty levels (zero when every row is a copy).
     pub layers: u64,
-    /// Work units per word-column per cycle.
+    /// Work units per word-column per cycle; more than zero for any
+    /// network with an output or a flip-flop, so no lane rate is
+    /// predicted infinite.
     pub units: f64,
 }
 

@@ -129,7 +129,7 @@ impl Backend for CsrBackend {
 
 /// The packed-bitplane backend: 64 stimuli per word; admission lowers the
 /// network to a [`BitplaneNn`] of gates and parities, one word op per
-/// neuron, priced by its modeled word-ops.
+/// neuron that is not a copy, priced by its modeled word-ops.
 ///
 /// Every network the default pipeline emits is admitted. A row with no
 /// gate form — the mixed-sign rows of a `layer-merge`d or hand-built
@@ -180,7 +180,7 @@ impl Backend for BitplaneBackend {
         let manifest = Manifest {
             backend: "bitplane".to_string(),
             lanes_per_word: 64,
-            layers: program.num_layers() as u64,
+            layers: program.levels() as u64,
             units: program.modeled_word_ops() as f64,
         };
         Ok(Arc::new(BitplanePlan {

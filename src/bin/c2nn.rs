@@ -226,13 +226,18 @@ fn main() {
                 match c2nn::core::BitplaneNn::from_compiled(&nn) {
                     Ok(program) => {
                         let c = program.op_census();
+                        outln!("  levels    : {}", program.levels());
                         outln!(
-                            "  ops       : {} (and {}, nand {}, or {}, nor {}, xor {}, not {}, const {}, copy {})",
-                            c.total(), c.ands, c.nands, c.ors, c.nors, c.xors, c.nots, c.consts, c.copies
+                            "  ops       : {} (and {}, nand {}, or {}, nor {}, xor {}, not {}, const {})",
+                            c.total(), c.ands, c.nands, c.ors, c.nors, c.xors, c.nots, c.consts
                         );
                         outln!(
                             "  word-ops  : {} modelled per 64 lanes per cycle",
                             program.modeled_word_ops()
+                        );
+                        outln!(
+                            "  planes    : {} in the plane file, one word each per 64 lanes",
+                            program.planes()
                         );
                     }
                     Err(e) => outln!("  refused   : {e}"),
