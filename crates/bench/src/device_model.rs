@@ -41,13 +41,6 @@ impl DeviceModel {
         let t = self.cycle_seconds(nn, batch);
         nn.gate_count as f64 * batch as f64 / t
     }
-
-    /// Batch size at which the compute term overtakes launch latency
-    /// (the knee of the throughput curve).
-    pub fn saturation_batch<T: Scalar>(&self, nn: &CompiledNn<T>) -> f64 {
-        let launch = nn.num_layers() as f64 * self.launch_s;
-        launch * self.mac_per_s / nn.connections() as f64
-    }
 }
 
 #[cfg(test)]
@@ -86,13 +79,5 @@ mod tests {
         assert!(t_big > 10.0 * t_small);
         let t_bigger = m.throughput(&nn, 1 << 24);
         assert!(t_bigger < t_big * 2.0);
-    }
-
-    #[test]
-    fn saturation_batch_is_finite_positive() {
-        let nn = nn();
-        let m = DeviceModel::titan_x();
-        let b = m.saturation_batch(&nn);
-        assert!(b > 0.0 && b.is_finite());
     }
 }

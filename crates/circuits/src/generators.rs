@@ -175,21 +175,6 @@ pub fn crc32() -> Netlist {
     b.finish().unwrap()
 }
 
-/// Software CRC-32 reference for the tests (bitwise, reflected).
-pub fn crc32_reference(data: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &byte in data {
-        for k in 0..8 {
-            let fb = (crc ^ (byte >> k) as u32) & 1;
-            crc >>= 1;
-            if fb == 1 {
-                crc ^= 0xEDB8_8320;
-            }
-        }
-    }
-    !crc
-}
-
 /// Transposed-form FIR filter with constant integer taps: `width`-bit
 /// samples in, full-precision accumulator chain out.
 pub fn fir(width: usize, taps: &[i64]) -> Netlist {
@@ -292,8 +277,8 @@ mod tests {
     fn crc32_matches_reference() {
         let nl = crc32();
         let mut sim = CycleSim::new(&nl).unwrap();
-        let data = b"123456789"; // canonical check input -> 0xCBF43926
-        assert_eq!(crc32_reference(data), 0xCBF43926);
+        // canonical check input -> 0xCBF43926
+        let data = b"123456789";
         // preset, then shift all bits LSB-first
         sim.step(&[false, true]);
         for &byte in data {

@@ -22,8 +22,6 @@ use c2nn_tensor::Scalar;
 pub struct CompileOptions {
     /// Maximum LUT inputs — the paper's `L` hyperparameter.
     pub lut_size: usize,
-    /// Cut candidates kept per net in the mapper.
-    pub cuts_per_net: usize,
     /// Paper §V known-function shortcut: AND/OR/NAND/NOR gates wider than
     /// `L` become single neurons instead of LUT trees.
     pub wide_gates: bool,
@@ -38,7 +36,6 @@ impl CompileOptions {
     pub fn with_l(l: usize) -> Self {
         CompileOptions {
             lut_size: l,
-            cuts_per_net: 8,
             wide_gates: false,
             passes: PassSet::default(),
         }
@@ -57,20 +54,13 @@ impl CompileOptions {
     }
 
     /// Check option ranges before doing any work: the mapper requires
-    /// `2 ≤ lut_size ≤ 16` and at least one cut candidate per net.
+    /// `2 ≤ lut_size ≤ 16`.
     pub fn validate(&self) -> Result<(), CompileError> {
         if !(2..=16).contains(&self.lut_size) {
             return Err(CompileError::InvalidOptions {
                 field: "lut_size",
                 value: self.lut_size,
                 expected: "2..=16",
-            });
-        }
-        if self.cuts_per_net < 1 {
-            return Err(CompileError::InvalidOptions {
-                field: "cuts_per_net",
-                value: self.cuts_per_net,
-                expected: "≥ 1",
             });
         }
         Ok(())
@@ -242,7 +232,6 @@ pub fn compile_with_report<T: Scalar>(
         &cut.comb,
         MapConfig {
             max_inputs: opts.lut_size,
-            cuts_per_net: opts.cuts_per_net,
             wide_gates: opts.wide_gates,
         },
     )?;
@@ -350,20 +339,9 @@ mod tests {
         ));
         bad.lut_size = 17;
         assert!(bad.validate().is_err());
-        let mut bad2 = CompileOptions::with_l(4);
-        bad2.cuts_per_net = 0;
-        assert!(matches!(
-            bad2.validate(),
-            Err(CompileError::InvalidOptions {
-                field: "cuts_per_net",
-                ..
-            })
-        ));
         // compile rejects bad options up front
         let nl = c2nn_netlist::NetlistBuilder::new("t").finish().unwrap();
-        let mut opts = CompileOptions::with_l(4);
-        opts.cuts_per_net = 0;
-        assert!(compile(&nl, opts).is_err());
+        assert!(compile(&nl, bad).is_err());
     }
 
     #[test]

@@ -68,7 +68,7 @@ pub use ir::NnGraph;
 pub use layer::{Activation2, NnLayer};
 pub use model::ModelError;
 pub use session::Session;
-pub use sim::{batch_from_bits, SimError, Simulator, StepShape};
+pub use sim::{SimError, Simulator, StepShape};
 pub use testbench::{
     bits_to_text, format_stim, parse_stim, run_batch, BenchResult, CycleRows, StimError, Stimulus,
 };

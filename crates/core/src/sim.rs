@@ -244,48 +244,12 @@ impl<T: Scalar> CompiledNn<T> {
         }
     }
 
-    /// [`CompiledNn::forward_with`] with the panics replaced by typed
-    /// errors: width mismatches and zero-layer networks come back as
-    /// [`SimError`]s instead of aborting the process.
-    pub fn try_forward_with<'s>(
-        &self,
-        x: &Dense<T>,
-        device: Device,
-        scratch: &'s mut (Dense<T>, Dense<T>),
-    ) -> Result<&'s Dense<T>, SimError> {
-        if self.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if x.rows() != self.in_width() {
-            return Err(SimError::InputWidth {
-                expected: self.in_width(),
-                got: x.rows(),
-            });
-        }
-        Ok(self.forward_with(x, device, scratch))
-    }
-
     /// Evaluate one combinational input assignment (bools in, bools out).
     /// For sequential circuits the input must include the state bits.
     pub fn eval(&self, inputs: &[bool]) -> Vec<bool> {
         let x = Dense::from_lanes(&[inputs.to_vec()]);
         let y = self.forward(&x, Device::Serial);
         y.to_lanes().into_iter().next().unwrap_or_default()
-    }
-
-    /// [`CompiledNn::eval`] with typed errors instead of panics: a
-    /// zero-layer network or a wrong-length input is reported, not fatal.
-    pub fn try_eval(&self, inputs: &[bool]) -> Result<Vec<bool>, SimError> {
-        if self.layers.is_empty() {
-            return Err(SimError::NoLayers);
-        }
-        if inputs.len() != self.in_width() {
-            return Err(SimError::InputWidth {
-                expected: self.in_width(),
-                got: inputs.len(),
-            });
-        }
-        Ok(self.eval(inputs))
     }
 }
 
@@ -348,16 +312,6 @@ impl<'a, T: Scalar> Simulator<'a, T> {
     /// caught too.
     pub fn enable_guard_with(&mut self, reference_checksum: u64) {
         self.guard = Some(reference_checksum);
-    }
-
-    /// Disarm the runtime guard; `try_step` reverts to shape checks only.
-    pub fn disable_guard(&mut self) {
-        self.guard = None;
-    }
-
-    /// Whether the runtime guard is armed.
-    pub fn guard_enabled(&self) -> bool {
-        self.guard.is_some()
     }
 
     /// Current state as per-lane bit vectors.
@@ -536,10 +490,4 @@ fn check_binary<T: Scalar>(t: &Dense<T>, stage: &'static str) -> Result<(), SimE
         }
     }
     Ok(())
-}
-
-/// Build a feature-major batched input tensor from per-testbench bit
-/// vectors (`rows[l]` = lane `l`'s inputs).
-pub fn batch_from_bits<T: Scalar>(rows: &[Vec<bool>]) -> Dense<T> {
-    Dense::from_lanes(rows)
 }

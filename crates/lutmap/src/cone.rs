@@ -87,32 +87,6 @@ fn eval_net(
     out
 }
 
-/// Collect the set of gate indices in the cone of `root` bounded by
-/// `leaves` (diagnostics / cost estimation).
-pub fn cone_gates(nl: &Netlist, drivers: &[Driver], root: Net, leaves: &[Net]) -> Vec<usize> {
-    let mut seen: Vec<usize> = Vec::new();
-    let mut stack = vec![root];
-    let mut visited: HashMap<Net, ()> = leaves.iter().map(|&l| (l, ())).collect();
-    while let Some(n) = stack.pop() {
-        if visited.contains_key(&n) && n != root {
-            continue;
-        }
-        if let Driver::Gate(gi) = drivers[n.index()] {
-            if visited.insert(n, ()).is_none() || n == root {
-                seen.push(gi);
-                for &i in &nl.gates[gi].inputs {
-                    if !visited.contains_key(&i) {
-                        stack.push(i);
-                    }
-                }
-            }
-        }
-    }
-    seen.sort_unstable();
-    seen.dedup();
-    seen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,19 +154,5 @@ mod tests {
         for row in 0..256u64 {
             assert_eq!(t.get(row), row.count_ones() % 2 == 1);
         }
-    }
-
-    #[test]
-    fn cone_gates_collects_cone_only() {
-        let mut b = NetlistBuilder::new("g");
-        let a = b.input("a");
-        let c = b.input("b");
-        let x = b.and2(a, c);
-        let _unrelated = b.or2(a, c);
-        b.output(x, "x");
-        let nl = b.finish().unwrap();
-        let drivers = nl.drivers().unwrap();
-        let gates = cone_gates(&nl, &drivers, nl.outputs[0], &[a, c]);
-        assert_eq!(gates.len(), 1);
     }
 }

@@ -188,36 +188,6 @@ impl LutGraph {
         }
         self.outputs.iter().map(|&o| vals[o as usize]).collect()
     }
-
-    /// Total number of LUT table bits (a memory-cost proxy; wide
-    /// known-function nodes store no table).
-    pub fn table_bits(&self) -> usize {
-        self.nodes
-            .iter()
-            .map(|n| match &n.func {
-                NodeFunc::Table(lut) => lut.num_rows(),
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Histogram of node input counts, indexed by arity.
-    pub fn arity_histogram(&self) -> Vec<usize> {
-        let max = self.nodes.iter().map(|n| n.inputs.len()).max().unwrap_or(0);
-        let mut h = vec![0usize; max + 1];
-        for n in &self.nodes {
-            h[n.inputs.len()] += 1;
-        }
-        h
-    }
-
-    /// Number of wide known-function nodes.
-    pub fn wide_nodes(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| !matches!(n.func, NodeFunc::Table(_)))
-            .count()
-    }
 }
 
 #[cfg(test)]
@@ -278,8 +248,6 @@ mod tests {
             outputs: vec![9],
         };
         g.validate(3).unwrap(); // 9 > 3 but wide nodes are exempt
-        assert_eq!(g.wide_nodes(), 1);
-        assert_eq!(g.table_bits(), 0);
         for x in [0u32, 0b111111111, 0b101010101] {
             let bits: Vec<bool> = (0..9).map(|j| x >> j & 1 == 1).collect();
             assert_eq!(g.eval(&bits), vec![x == 0b111111111]);
@@ -318,11 +286,5 @@ mod tests {
         g.outputs.push(1); // input 1 directly
         let out = g.eval(&[false, true, false]);
         assert!(out[1]);
-    }
-
-    #[test]
-    fn arity_histogram_counts() {
-        let g = xor_chain();
-        assert_eq!(g.arity_histogram(), vec![0, 0, 2]);
     }
 }

@@ -31,6 +31,6 @@ pub mod cone;
 pub mod graph;
 pub mod mapper;
 
-pub use cone::{cone_gates, cone_truth_table, leaf_pattern};
+pub use cone::{cone_truth_table, leaf_pattern};
 pub use graph::{LutGraph, LutGraphError, LutNode, NodeFunc, NO_ORIGIN};
 pub use mapper::{map_netlist, MapConfig, MapError};

@@ -20,13 +20,14 @@ use crate::graph::{LutGraph, LutNode, NodeFunc};
 use c2nn_netlist::{Driver, GateKind, Net, Netlist};
 use std::collections::HashMap;
 
+/// Cuts kept per net during enumeration (see [`prune`]).
+const CUTS_PER_NET: usize = 8;
+
 /// Mapper configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct MapConfig {
     /// Maximum LUT inputs (the paper's `L`, 2..=16).
     pub max_inputs: usize,
-    /// Cuts kept per net during enumeration (quality/runtime knob).
-    pub cuts_per_net: usize,
     /// Keep AND/OR/NAND/NOR gates wider than `L` as known-function nodes
     /// instead of splitting them (paper §V: "polynomial libraries for known
     /// functions ... the equivalent of increasing L").
@@ -39,7 +40,6 @@ impl MapConfig {
         assert!((2..=16).contains(&l), "L must be in 2..=16, got {l}");
         MapConfig {
             max_inputs: l,
-            cuts_per_net: 8,
             wide_gates: false,
         }
     }
@@ -190,7 +190,8 @@ pub fn map_netlist(nl: &Netlist, cfg: MapConfig) -> Result<LutGraph, MapError> {
         }
         // Fold the gate's inputs pairwise, pruning after each fold: this
         // keeps wide variadic gates (xor_many etc.) from exploding the
-        // cartesian product.
+        // cartesian product. A constant (0-input gate) keeps only this
+        // empty cut and becomes a 0-input LUT node.
         let mut acc: Vec<Cut> = vec![Cut {
             leaves: Vec::new(),
             depth: 0,
@@ -212,7 +213,7 @@ pub fn map_netlist(nl: &Netlist, cfg: MapConfig) -> Result<LutGraph, MapError> {
                     }
                 }
             }
-            prune(&mut next, cfg.cuts_per_net);
+            prune(&mut next);
             // with a 2/3-bounded network and k ≥ 3 (or k = 2 with mux
             // expansion) the trivial cuts of the inputs always merge, so a
             // feasible cut exists
@@ -223,7 +224,7 @@ pub fn map_netlist(nl: &Netlist, cfg: MapConfig) -> Result<LutGraph, MapError> {
         for c in &mut acc {
             c.depth = c.leaves.iter().map(|l| label[l.index()]).max().unwrap_or(0) + 1;
         }
-        prune(&mut acc, cfg.cuts_per_net);
+        prune(&mut acc);
         let out = g.output;
         label[out.index()] = acc.first().map(|c| c.depth).unwrap_or(0);
         // parents may also use this net as a leaf (the trivial cut)
@@ -342,23 +343,16 @@ pub fn map_netlist(nl: &Netlist, cfg: MapConfig) -> Result<LutGraph, MapError> {
     Ok(g)
 }
 
-/// Keep the `keep` best cuts by (depth, size), deduplicated.
-fn prune(cuts: &mut Vec<Cut>, keep: usize) {
+/// Keep the [`CUTS_PER_NET`] best cuts by (depth, size), deduplicated.
+fn prune(cuts: &mut Vec<Cut>) {
     cuts.sort_by(|a, b| {
         a.rank()
             .cmp(&b.rank())
             .then_with(|| a.leaves.cmp(&b.leaves))
     });
     cuts.dedup_by(|a, b| a.leaves == b.leaves);
-    cuts.truncate(keep);
+    cuts.truncate(CUTS_PER_NET);
 }
-
-/// Map constant-driven outputs correctly: constants appear as 0-input gates
-/// and become 0-input LUT nodes automatically through the cut machinery
-/// (their only cut is the empty cut). This helper exists for documentation;
-/// see `map_netlist`.
-#[doc(hidden)]
-pub fn _constant_note() {}
 
 #[cfg(test)]
 mod tests {

@@ -426,11 +426,6 @@ impl NetlistBuilder {
         self.mux(var, lo, hi)
     }
 
-    /// Name an existing net for debugging.
-    pub fn name_net(&mut self, net: Net, name: &str) {
-        self.nl.net_names[net.index()] = Some(name.to_string());
-    }
-
     /// Number of gates emitted so far.
     pub fn gate_count(&self) -> usize {
         self.nl.gates.len()

@@ -322,11 +322,6 @@ impl Netlist {
         // Acyclicity of the combinational part: Kahn's algorithm over gates.
         crate::graph::topo_order(self).map(|_| ())
     }
-
-    /// Total number of gate input pins — a proxy for wiring complexity.
-    pub fn pin_count(&self) -> usize {
-        self.gates.iter().map(|g| g.inputs.len()).sum::<usize>() + self.flipflops.len()
-    }
 }
 
 #[cfg(test)]

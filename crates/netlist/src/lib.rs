@@ -20,6 +20,7 @@
 //!   sweep, statistics, DOT export.
 //! * [`seq`] — sequential transforms: clock unification and flip-flop
 //!   cutting (paper §III-C), producing a [`CutCircuit`].
+//! * [`blif`] — BLIF interchange: [`to_blif`] and [`from_blif`].
 //!
 //! ## Example
 //!
@@ -35,7 +36,6 @@
 //! assert!(netlist.is_combinational());
 //! ```
 
-pub mod aig;
 pub mod blif;
 pub mod build;
 pub mod graph;
@@ -43,7 +43,6 @@ pub mod ir;
 pub mod seq;
 pub mod word;
 
-pub use aig::{to_aig, Aig, Lit};
 pub use blif::{from_blif, to_blif, BlifError};
 pub use build::NetlistBuilder;
 pub use graph::{

@@ -136,16 +136,6 @@ impl CutCircuit {
     pub fn state_bits(&self) -> usize {
         self.state_init.len()
     }
-
-    /// Total input width of the combinational function (primary + state).
-    pub fn total_inputs(&self) -> usize {
-        self.comb.inputs.len()
-    }
-
-    /// Total output width of the combinational function (primary + state).
-    pub fn total_outputs(&self) -> usize {
-        self.comb.outputs.len()
-    }
 }
 
 /// Cut all flip-flops (paper's *pseudo-inputs/-outputs*). The input netlist

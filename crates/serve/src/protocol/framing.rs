@@ -112,12 +112,6 @@ impl FrameBuffer {
         &self.buf
     }
 
-    /// Wire format of the frame at the head of the buffer, if any byte is
-    /// buffered.
-    pub fn sniff_wire(&self) -> Option<WireFormat> {
-        self.buf.first().map(|&b| WireFormat::sniff(b))
-    }
-
     /// Is a complete frame (or an unrecoverable framing defect, which is
     /// equally actionable) buffered? Unlike
     /// [`next_frame`](FrameBuffer::next_frame) this never consumes; the
@@ -245,11 +239,6 @@ impl<R: Read> FrameReader<R> {
             inner,
             frames: FrameBuffer::with_limits(limits),
         }
-    }
-
-    /// The underlying stream.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
     }
 
     /// Bytes of an incomplete frame currently buffered. The server's drain

@@ -223,14 +223,6 @@ impl ServedModel {
         Ok(ServedModel::spawn(name, selection, cfg, admission, chaos))
     }
 
-    /// [`ServedModel::spawn_selected`] with no pressure coupling and no
-    /// chaos — embedding and test convenience. Panics if no backend admits
-    /// the model (use [`ServedModel::spawn_selected`] for typed errors).
-    pub fn spawn_standalone(name: &str, nn: CompiledNn<f32>, cfg: BatchConfig) -> Arc<ServedModel> {
-        ServedModel::spawn_selected(name, nn, cfg, Admission::unbounded(), None)
-            .expect("backend selection")
-    }
-
     /// Snapshot this model's counters into the wire-format report.
     pub fn report(&self) -> ModelStatsReport {
         self.stats
@@ -451,7 +443,7 @@ mod tests {
     #[test]
     fn coalesces_waiting_jobs_into_one_batch() {
         let nn = counter_nn();
-        let model = ServedModel::spawn_standalone(
+        let model = ServedModel::spawn_selected(
             "ctr",
             nn,
             BatchConfig {
@@ -459,7 +451,10 @@ mod tests {
                 max_wait: Duration::from_millis(200),
                 backend: named("scalar"),
             },
-        );
+            Admission::unbounded(),
+            None,
+        )
+        .expect("backend selection");
         // submit 4 jobs quickly; the 200ms deadline coalesces them
         let stims = ["1 x3\n", "1 x5\n", "0 x2\n", "1 x1\n"];
         let rxs: Vec<_> = stims
@@ -489,7 +484,7 @@ mod tests {
     #[test]
     fn auto_selection_picks_a_backend_and_labels_stats() {
         let nn = counter_nn();
-        let model = ServedModel::spawn_standalone(
+        let model = ServedModel::spawn_selected(
             "ctr",
             nn,
             BatchConfig {
@@ -497,7 +492,10 @@ mod tests {
                 max_wait: Duration::from_millis(50),
                 backend: Choice::Auto,
             },
-        );
+            Admission::unbounded(),
+            None,
+        )
+        .expect("backend selection");
         assert!(
             !model.backend.is_empty() && model.auto_selected,
             "auto selection must record its winner"
@@ -513,7 +511,7 @@ mod tests {
     #[test]
     fn dropped_receiver_does_not_poison_the_batch() {
         let nn = counter_nn();
-        let model = ServedModel::spawn_standalone(
+        let model = ServedModel::spawn_selected(
             "ctr",
             nn,
             BatchConfig {
@@ -521,7 +519,10 @@ mod tests {
                 max_wait: Duration::from_millis(100),
                 backend: named("scalar"),
             },
-        );
+            Admission::unbounded(),
+            None,
+        )
+        .expect("backend selection");
         let keep = model.submit(parse_stim("1 x4\n", 1).unwrap(), None);
         let drop_me = model.submit(parse_stim("1 x6\n", 1).unwrap(), None);
         drop(drop_me); // client disconnects mid-batch
@@ -537,7 +538,7 @@ mod tests {
     #[test]
     fn lone_job_runs_after_deadline() {
         let nn = counter_nn();
-        let model = ServedModel::spawn_standalone(
+        let model = ServedModel::spawn_selected(
             "ctr",
             nn,
             BatchConfig {
@@ -545,7 +546,10 @@ mod tests {
                 max_wait: Duration::from_millis(1),
                 backend: named("scalar"),
             },
-        );
+            Admission::unbounded(),
+            None,
+        )
+        .expect("backend selection");
         let rx = model.submit(parse_stim("1 x2\n", 1).unwrap(), None);
         let out = rx.recv().unwrap().unwrap();
         assert_eq!(out.num_cycles(), 2);
@@ -556,7 +560,7 @@ mod tests {
     #[test]
     fn expired_deadline_is_shed_typed_and_costs_no_lane() {
         let nn = counter_nn();
-        let model = ServedModel::spawn_standalone(
+        let model = ServedModel::spawn_selected(
             "ctr",
             nn,
             BatchConfig {
@@ -564,7 +568,10 @@ mod tests {
                 max_wait: Duration::from_millis(50),
                 backend: named("scalar"),
             },
-        );
+            Admission::unbounded(),
+            None,
+        )
+        .expect("backend selection");
         // already expired on arrival: must shed, not simulate
         let dead = model.submit(
             parse_stim("1 x4\n", 1).unwrap(),
@@ -592,7 +599,7 @@ mod tests {
         let mut replies: Vec<Vec<SimOutput>> = Vec::new();
         let backends = BackendRegistry::global().names();
         for backend in &backends {
-            let model = ServedModel::spawn_standalone(
+            let model = ServedModel::spawn_selected(
                 "ctr",
                 nn.clone(),
                 BatchConfig {
@@ -600,7 +607,10 @@ mod tests {
                     max_wait: Duration::from_millis(200),
                     backend: named(backend),
                 },
-            );
+                Admission::unbounded(),
+                None,
+            )
+            .expect("backend selection");
             assert_eq!(model.backend, *backend);
             let rxs: Vec<_> = stims
                 .iter()
@@ -626,7 +636,7 @@ mod tests {
     #[test]
     fn wrong_width_stimulus_fails_typed_instead_of_being_truncated() {
         for backend in BackendRegistry::global().names() {
-            let model = ServedModel::spawn_standalone(
+            let model = ServedModel::spawn_selected(
                 "ctr",
                 counter_nn(),
                 BatchConfig {
@@ -634,7 +644,10 @@ mod tests {
                     max_wait: Duration::from_millis(1),
                     backend: named(backend),
                 },
-            );
+                Admission::unbounded(),
+                None,
+            )
+            .expect("backend selection");
             // the counter has one input; both births carry two
             let wide = parse_stim("11 x3\n", 2).unwrap();
             for stim in [

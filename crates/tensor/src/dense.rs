@@ -28,33 +28,6 @@ impl<T: Scalar> Dense<T> {
         Dense { rows, cols, data }
     }
 
-    /// Build row by row from an iterator of slices.
-    pub fn from_rows<'a>(cols: usize, rows_iter: impl Iterator<Item = &'a [T]>) -> Self
-    where
-        T: 'a,
-    {
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for r in rows_iter {
-            assert_eq!(r.len(), cols);
-            data.extend_from_slice(r);
-            rows += 1;
-        }
-        Dense { rows, cols, data }
-    }
-
-    /// Build from a bit matrix: `bits[r][c]` → 0/1 scalar.
-    pub fn from_bits(bits: &[Vec<bool>]) -> Self {
-        let rows = bits.len();
-        let cols = bits.first().map_or(0, |r| r.len());
-        let mut data = Vec::with_capacity(rows * cols);
-        for r in bits {
-            assert_eq!(r.len(), cols);
-            data.extend(r.iter().map(|&b| if b { T::ONE } else { T::ZERO }));
-        }
-        Dense { rows, cols, data }
-    }
-
     #[inline]
     pub fn rows(&self) -> usize {
         self.rows
@@ -124,13 +97,6 @@ impl<T: Scalar> Dense<T> {
             .collect()
     }
 
-    /// Interpret entries as bits (exact 0/1 values expected).
-    pub fn to_bits(&self) -> Vec<Vec<bool>> {
-        (0..self.rows)
-            .map(|r| self.row(r).iter().map(|&v| v == T::ONE).collect())
-            .collect()
-    }
-
     /// Bytes of payload.
     pub fn memory_bytes(&self) -> usize {
         self.data.len() * std::mem::size_of::<T>()
@@ -148,24 +114,6 @@ mod tests {
         assert_eq!(m.get(1, 2), 7.0);
         assert_eq!(m.get(0, 0), 0.0);
         assert_eq!(m.row(1), &[0.0, 0.0, 7.0]);
-    }
-
-    #[test]
-    fn bits_roundtrip() {
-        let bits = vec![vec![true, false], vec![false, true]];
-        let m: Dense<i32> = Dense::from_bits(&bits);
-        assert_eq!(m.get(0, 0), 1);
-        assert_eq!(m.get(0, 1), 0);
-        assert_eq!(m.to_bits(), bits);
-    }
-
-    #[test]
-    fn from_rows_collects() {
-        let r0 = [1.0f32, 2.0];
-        let r1 = [3.0f32, 4.0];
-        let m = Dense::from_rows(2, [r0.as_slice(), r1.as_slice()].into_iter());
-        assert_eq!(m.rows(), 2);
-        assert_eq!(m.data(), &[1.0, 2.0, 3.0, 4.0]);
     }
 
     #[test]

@@ -182,5 +182,12 @@ proptest! {
         prop_assert_eq!(m.rows(), 9);
         prop_assert_eq!(m.cols(), lanes.len());
         prop_assert_eq!(m.to_lanes(), lanes);
+        let mi: Dense<i32> = Dense::from_lanes(&lanes);
+        for (l, lane) in lanes.iter().enumerate() {
+            for (f, &bit) in lane.iter().enumerate() {
+                prop_assert_eq!(mi.get(f, l), bit as i32);
+            }
+        }
+        prop_assert_eq!(mi.to_lanes(), lanes);
     }
 }
